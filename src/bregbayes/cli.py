@@ -134,7 +134,7 @@ def _estimate_core(cfg, writer, want_map=True, want_cm=True, verify=False):
         cfg = dataclasses.replace(
             cfg, solver=dataclasses.replace(cfg.solver,
                                             trace_path=str(trace_path)))
-    record = run_experiment(cfg, verify=verify)
+    record = run_experiment(cfg, verify=verify, with_cm=want_cm)
     _write_scenario(writer, record.parts, record.data)
     grid = record.parts.recon_grid
     if want_map:

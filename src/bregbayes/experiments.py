@@ -394,8 +394,8 @@ class ExperimentRecord:
     lam: float
     posterior: Posterior
     map_result: MapResult
-    chains: list[Chain]
-    cm: ChainSummary
+    chains: list[Chain]  # empty when run without CM
+    cm: Optional[ChainSummary]
     metrics: dict
     reports: list
 
@@ -488,13 +488,17 @@ def _merged_chain(chains: list[Chain]) -> Chain:
 
 
 def run_experiment(cfg: ScenarioConfig, verify: bool = False,
-                   n_probes: int = 12) -> ExperimentRecord:
+                   n_probes: int = 12, with_cm: bool = True) -> ExperimentRecord:
     """Build the scenario, generate data, estimate MAP and CM, compute metrics.
 
     With ``verify=True`` the full check suite runs on the merged chain:
     both optimality probes, the two expected-error inequalities, the
     MAP-centered energy identity, and the averaged CM optimality residual.
+    With ``with_cm=False`` no chain is sampled and the record carries the
+    MAP metrics only; verification needs the chains, so it is refused.
     """
+    if verify and not with_cm:
+        raise ValueError("verification needs the CM chains")
     parts = build_scenario(cfg)
     if cfg.truth_factor > 1:
         # inverse-crime guard
@@ -507,26 +511,31 @@ def run_experiment(cfg: ScenarioConfig, verify: bool = False,
     lam = resolve_lambda(cfg, parts, data)
     post = assemble_posterior(parts, data, lam)
     map_result = solve_map(post, scenario_solver_options(cfg, lam, post))
-    chains = sample_posterior(post, cfg, parts.sampler_method)
-    merged = _merged_chain(chains)
-    cm = summarize(merged, post.prior)
-    disc = two_chain_discrepancy(chains[0], chains[-1])
     truth = parts.truth_on_recon.values
     prior = post.prior
     metrics = {
         "lambda": lam,
         "sigma": data.sigma,
         "rel_l2_map": _rel_l2(map_result.estimate, truth),
-        "rel_l2_cm": _rel_l2(cm.mean, truth),
         "sup_range_map": float(map_result.estimate.max()
                                - map_result.estimate.min()),
         "prior_energy_map": prior.energy(map_result.estimate),
-        "prior_energy_cm": prior.energy(cm.mean),
         "map_iterations": map_result.iterations,
         "map_optimality_residual": map_result.residual_norm,
+    }
+    if not with_cm:
+        return ExperimentRecord(cfg, parts, data, lam, post, map_result, [],
+                                None, metrics, [])
+    chains = sample_posterior(post, cfg, parts.sampler_method)
+    merged = _merged_chain(chains)
+    cm = summarize(merged, post.prior)
+    disc = two_chain_discrepancy(chains[0], chains[-1])
+    metrics.update({
+        "rel_l2_cm": _rel_l2(cm.mean, truth),
+        "prior_energy_cm": prior.energy(cm.mean),
         "two_chain_sup": disc.sup,
         "two_chain_rel_l2": disc.rel_l2,
-    }
+    })
     if chains[0].acceptance_rate is not None:
         metrics["acceptance_rate"] = chains[0].acceptance_rate
     reports = []

@@ -132,18 +132,22 @@ def _tv_preconditioner(kt_p_k: Callable, mu: float, n: int) -> Callable:
 
 
 def _split_structure(prior: Prior, n: int):
-    """(phi, threshold weights, uses_identity_splitting) for the d-update."""
+    """(phi, threshold weights, uses_identity_splitting, phi_orthonormal).
+
+    ``phi_orthonormal`` means Phi^T Phi = I (the identity, or the wavelet a
+    Besov prior is built on), so the u-step needs no Phi applies.
+    """
     if prior.kind == "l1":
         if prior.transform is None:
-            return None, np.ones(n), False
-        return prior.transform, np.ones(prior.transform.out_dim), False
+            return None, np.ones(n), False, True
+        return prior.transform, np.ones(prior.transform.out_dim), False, False
     if prior.kind == "tv1d":
-        return forward_differences(n), np.ones(n - 1), False
+        return forward_differences(n), np.ones(n - 1), False, False
     if prior.kind == "besov":
-        return prior.transform, prior.weights, False
+        return prior.transform, prior.weights, False, True
     # generic prior with a prox: split on d = u and use prox_J directly
     if prior.prox_fn is not None:
-        return None, None, True
+        return None, None, True, True
     raise ValueError(f"prior '{prior.kind}' provides no prox for the splitting")
 
 
@@ -189,7 +193,7 @@ def solve_map(post: Posterior, opts: Optional[SolverOptions] = None) -> MapResul
                      [result.residual_norm])
         return result
 
-    phi, weights, identity_split = _split_structure(prior, n)
+    phi, weights, identity_split, phi_orthonormal = _split_structure(prior, n)
     mu = opts.penalty if opts.penalty is not None else lam
     thresh = (lam / mu) * weights if weights is not None else None
 
@@ -202,8 +206,12 @@ def solve_map(post: Posterior, opts: Optional[SolverOptions] = None) -> MapResul
         phi_adj = phi.adjoint_apply
         m_split = phi.out_dim
 
-    def apply_a(u):
-        return kt_p_k(u) + mu * phi_adj(phi_apply(u))
+    if phi_orthonormal:
+        def apply_a(u):
+            return kt_p_k(u) + mu * u
+    else:
+        def apply_a(u):
+            return kt_p_k(u) + mu * phi_adj(phi_apply(u))
 
     precond = _tv_preconditioner(kt_p_k, mu, n) if prior.kind == "tv1d" else None
 

@@ -1,30 +1,41 @@
-"""Matrix-free forward operators: blur, Radon, Haar wavelets, restriction.
+"""Forward operators: blur, Radon, Haar wavelets, restriction.
 
 Every operator carries an explicit adjoint. Adjoints are exact transposes
 of the assembled action, so randomized probe tests hold at tight
-tolerances rather than only asymptotically.
+tolerances rather than only asymptotically. Radon is an assembled sparse
+matrix; the blur and Haar are matrix-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 from scipy.ndimage import convolve1d
 
 from .grids import Grid
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 
 @dataclass(frozen=True)
 class LinearOperator:
-    """Matrix-free linear map with an explicit adjoint."""
+    """Linear map with an explicit adjoint.
+
+    ``matrix`` is the assembled sparse matrix behind ``apply`` and
+    ``adjoint_apply`` when there is one (no explicit zeros); callers still
+    go through ``apply``, and :func:`sparse_columns` reads its columns.
+    """
 
     in_dim: int
     out_dim: int
     apply: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     adjoint_apply: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     name: str = "operator"
+    matrix: Optional[sp.csc_array] = field(default=None, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         if self.in_dim <= 0 or self.out_dim <= 0:
@@ -75,11 +86,18 @@ def compose(outer: LinearOperator, inner: LinearOperator) -> LinearOperator:
 
 
 def sparse_columns(op: LinearOperator) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Column sparsity of K, probed with unit vectors.
+    """Column sparsity of K: one (indices, values) pair per input coordinate.
 
-    Returns one (indices, values) pair per input coordinate. Used by the
-    samplers for incremental residual updates.
+    Read from the assembled matrix when the operator has one, otherwise
+    probed with unit vectors. Used by the samplers for incremental
+    residual updates.
     """
+    if op.matrix is not None:
+        csc = op.matrix.tocsc()
+        rows = csc.indices.astype(np.intp)
+        ptr = csc.indptr
+        return [(rows[ptr[i]:ptr[i + 1]], csc.data[ptr[i]:ptr[i + 1]])
+                for i in range(op.in_dim)]
     cols = []
     e = np.zeros(op.in_dim)
     for i in range(op.in_dim):
@@ -147,9 +165,12 @@ def radon(grid: Grid, num_angles: int, num_bins: int) -> LinearOperator:
     Angles are uniform on [0, pi). Each pixel deposits its value times the
     pixel area onto the two detector bins bracketing its projected
     coordinate, so the sum over bins of one angle's projection equals the
-    total image mass. The adjoint is the transpose of this assembled
-    action (a matching back-projection).
+    total image mass. The operator is assembled as one sparse matrix; the
+    adjoint is its transpose.
     """
+    # imported here so scenarios without Radon do not load scipy.sparse
+    import scipy.sparse as sp
+
     if grid.dim != 2:
         raise ValueError("radon requires a 2D grid")
     if num_angles <= 0 or num_bins <= 0:
@@ -168,38 +189,31 @@ def radon(grid: Grid, num_angles: int, num_bins: int) -> LinearOperator:
     ds = 2.0 * s_max / num_bins
     angles = np.arange(num_angles) * (np.pi / num_angles)
 
-    plans = []
-    for theta in angles:
+    # CSC layout, two entries per pixel and angle: the bins bracketing the
+    # pixel's projection. A bin off the detector keeps a zero entry at a
+    # clipped row, which eliminate_zeros then drops.
+    n = grid.size
+    nnz = 2 * num_angles * n
+    itype = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+    rows_out = np.empty((n, num_angles, 2), dtype=itype)
+    vals = np.empty((n, num_angles, 2))
+    for k, theta in enumerate(angles):
         s = xg * np.cos(theta) + yg * np.sin(theta)
         g = (s + s_max) / ds - 0.5  # fractional bin index
-        i0 = np.floor(g).astype(np.int64)
+        i0 = np.floor(g)
         w1 = g - i0
-        w0 = 1.0 - w1
-        m0 = (i0 >= 0) & (i0 < num_bins)
-        m1 = (i0 + 1 >= 0) & (i0 + 1 < num_bins)
-        plans.append((i0, w0 * area, w1 * area, m0, m1))
-
-    n = grid.size
-    out_dim = num_angles * num_bins
-
-    def apply(u: np.ndarray) -> np.ndarray:
-        sino = np.empty((num_angles, num_bins))
-        for k, (i0, w0, w1, m0, m1) in enumerate(plans):
-            row = np.bincount(i0[m0], weights=u[m0] * w0[m0], minlength=num_bins)
-            row += np.bincount(i0[m1] + 1, weights=u[m1] * w1[m1], minlength=num_bins)
-            sino[k] = row
-        return sino.reshape(-1)
-
-    def adjoint_apply(v: np.ndarray) -> np.ndarray:
-        sino = v.reshape(num_angles, num_bins)
-        out = np.zeros(n)
-        for k, (i0, w0, w1, m0, m1) in enumerate(plans):
-            out[m0] += sino[k, i0[m0]] * w0[m0]
-            out[m1] += sino[k, i0[m1] + 1] * w1[m1]
-        return out
-
-    return LinearOperator(n, out_dim, apply, adjoint_apply,
-                          f"radon({num_angles}x{num_bins})")
+        for j, (b, w) in enumerate(((i0, 1.0 - w1), (i0 + 1.0, w1))):
+            on = (b >= 0) & (b < num_bins)
+            rows_out[:, k, j] = k * num_bins + np.clip(b, 0, num_bins - 1)
+            vals[:, k, j] = np.where(on, w * area, 0.0)
+    indptr = np.arange(0, nnz + 1, 2 * num_angles, dtype=itype)
+    matrix = sp.csc_array((vals.reshape(-1), rows_out.reshape(-1), indptr),
+                          shape=(num_angles * num_bins, n))
+    matrix.eliminate_zeros()
+    transpose = matrix.T  # a view sharing the data, not a second copy
+    return LinearOperator(n, num_angles * num_bins, lambda u: matrix @ u,
+                          lambda v: transpose @ v,
+                          f"radon({num_angles}x{num_bins})", matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -644,7 +644,13 @@ def load_chain(path) -> Chain:
     raw = path.read_bytes()
     if raw[:8] != _MAGIC:
         raise ValueError(f"{path}: bad magic, not a chain file")
+    if len(raw) < 28:
+        raise ValueError(f"{path}: truncated header")
     n, count, seed = struct.unpack("<IQQ", raw[8:28])
+    expected = 28 + 8 * count * n
+    if len(raw) != expected:
+        raise ValueError(f"{path}: {len(raw)} bytes, header says {count} x "
+                         f"{n} samples ({expected} bytes)")
     samples = np.frombuffer(raw[28:], dtype="<f8").reshape(count, n).copy()
     meta = {}
     meta_path = path.with_suffix(path.suffix + ".meta")

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import bregbayes.experiments as experiments
 from bregbayes.cli import main
 from bregbayes.config import load_config, parse_config_text
 from bregbayes.grids import load_signal_csv
@@ -142,6 +143,25 @@ def test_cli_estimate_writes_everything(tmp_path):
     trace = (out / "map_trace.csv").read_text().splitlines()
     assert trace[0] == "iteration,energy,residual"
     assert trace[-1].split(",")[2] != ""  # final residual recorded
+
+
+def test_cli_map_samples_no_chain(tmp_path, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("map must not sample the posterior")
+
+    monkeypatch.setattr(experiments, "sample_posterior", no_sampling)
+    path = _write(tmp_path, TINY_DEBLUR)
+    out = tmp_path / "out"
+    assert main(["map", str(path), "--out-dir", str(out)]) == 0
+    assert (out / "map.csv").exists()
+    report = json.loads((out / "map_report.json").read_text())
+    assert report["iterations"] >= 1
+    assert not list(out.glob("chain_*.bbchain"))
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert "rel_l2_map" in metrics and "rel_l2_cm" not in metrics
+    with pytest.raises(ValueError):
+        experiments.run_experiment(parse_config_text(TINY_DEBLUR),
+                                   verify=True, with_cm=False)
 
 
 def test_cli_seed_override_changes_data(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -122,6 +123,52 @@ def test_besov_map_certified_by_residual():
     res = solve_map(post, SolverOptions(tol_rel_change=1e-11, max_iters=4000))
     assert res.converged
     assert optimality_residual(post, res) < 1e-6
+
+
+def test_besov_u_step_applies_no_wavelet():
+    # Phi^T Phi = I for the Besov wavelet, so the CG u-step must not apply
+    # it; what remains is a few applies per outer iteration (right-hand
+    # side, split update, energy, periodic residual)
+    n = 16
+    calls = [0]
+
+    def counted(fn):
+        def apply(x):
+            calls[0] += 1
+            return fn(x)
+        return apply
+
+    w = haar_transform(grid1d(n))
+    w = dataclasses.replace(w, apply=counted(w.apply),
+                            adjoint_apply=counted(w.adjoint_apply))
+    k = RNG.standard_normal((n, n)) + 2 * np.eye(n)
+    post = _posterior(k, RNG.standard_normal(n), 1.0,
+                      make_besov_prior(0.5, RNG.uniform(0.5, 2.0, n), w))
+    calls[0] = 0
+    res = solve_map(post, SolverOptions(tol_rel_change=1e-11, max_iters=4000))
+    assert res.converged
+    assert calls[0] <= 8 * res.iterations
+
+
+def test_l1_non_orthonormal_transform_solves_to_optimality():
+    # Phi^T Phi != I keeps Phi in the u-step; check the MAP condition
+    # K^T P (f - K u) / lam = Phi^T eta, eta in the sign set of Phi u,
+    # with eta recovered by an exact solve
+    n = 8
+    phi = np.eye(n) + 0.3 * RNG.standard_normal((n, n))
+    k = RNG.standard_normal((n + 2, n)) + np.eye(n + 2, n)
+    f = RNG.standard_normal(n + 2)
+    lam = 0.4
+    post = _posterior(k, f, 0.8, make_l1_prior(lam, from_matrix(phi)))
+    assert post.prior.prox_fn is None  # the prior saw a non-orthonormal Phi
+    res = solve_map(post, SolverOptions(tol_rel_change=1e-13, max_iters=20000))
+    assert res.converged
+    eta = np.linalg.solve(phi.T, subgradient_certificate(post, res.estimate))
+    coef = phi @ res.estimate
+    zero = np.abs(coef) <= 1e-6 * np.abs(coef).max()
+    assert zero.any() and not zero.all()
+    np.testing.assert_allclose(eta[~zero], np.sign(coef[~zero]), atol=1e-6)
+    assert np.all(np.abs(eta[zero]) <= 1.0 + 1e-6)
 
 
 def test_monotone_energy_decrease():

@@ -332,6 +332,20 @@ def test_load_chain_rejects_bad_magic(tmp_path):
         load_chain(path)
 
 
+@pytest.mark.parametrize("damage", [lambda raw: raw[:-8],
+                                    lambda raw: raw + b"\x00" * 5,
+                                    lambda raw: raw[:20]],
+                         ids=["truncated", "trailing", "short_header"])
+def test_load_chain_rejects_wrong_length(tmp_path, damage):
+    chain = Chain(np.ones((4, 3)), seed=1, burn_in=0, thinning=1,
+                  method="gibbs")
+    path = tmp_path / "chain.bbchain"
+    save_chain(chain, path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ValueError, match="chain.bbchain"):
+        load_chain(path)
+
+
 def test_chain_validation():
     with pytest.raises(ValueError):
         Chain(np.zeros((0, 3)), seed=0, burn_in=0, thinning=1, method="gibbs")
