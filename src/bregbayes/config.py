@@ -48,8 +48,7 @@ _SCHEMA = {
     "noise": {"fraction": _parse_float},
     "prior": {"kind": str, "lambda": _parse_auto_float, "rule": str,
               "rule_constant": _parse_float, "s_curve_target": _parse_auto_float,
-              "s_curve_bracket": _parse_two_floats, "s_curve_tol": _parse_float,
-              "beta": _parse_float},
+              "s_curve_bracket": _parse_two_floats, "s_curve_tol": _parse_float},
     "solver": {"penalty": _parse_auto_float, "max_iters": _parse_int,
                "tol_rel_change": _parse_float, "tol_residual": _parse_float,
                "tol_split_gap": _parse_float, "cg_tol": _parse_float,
@@ -102,7 +101,6 @@ def parse_config_text(text: str) -> ScenarioConfig:
     )
     default_shape = {"deblur2d": (64, 64), "tv1d": (63,),
                      "ct2d": (64, 64)}[name]
-    default_prior = {"deblur2d": "l1", "tv1d": "tv1d", "ct2d": "besov"}[name]
     default_noise = {"deblur2d": 0.1, "tv1d": 0.1, "ct2d": 0.01}[name]
     lambda_rule = get("prior", "rule", None)
     if lambda_rule is None:
@@ -116,7 +114,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
         recon_shape=tuple(get("grid", "shape", default_shape)),
         truth_factor=get("grid", "truth_factor", 4),
         noise_fraction=get("noise", "fraction", default_noise),
-        prior_kind=get("prior", "kind", default_prior),
+        prior_kind=get("prior", "kind", None),
         lam=lam,
         lambda_rule=lambda_rule,
         rule_constant=get("prior", "rule_constant", 1.0),
@@ -124,7 +122,6 @@ def parse_config_text(text: str) -> ScenarioConfig:
         s_curve_bracket=get("prior", "s_curve_bracket",
                             (0.5, 5000.0) if name == "ct2d" else (1e-3, 1e2)),
         s_curve_tol=get("prior", "s_curve_tol", 0.02),
-        beta=get("prior", "beta", 1.0),
         solver=solver,
         n_samples=get("sampler", "samples", 600),
         burn_in=get("sampler", "burn_in", None),

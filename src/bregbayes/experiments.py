@@ -32,10 +32,13 @@ from .operators import (LinearOperator, adjoint_probe_error,
                         identity, interval_average_1d, radon)
 from .priors import (Prior, make_besov_prior, make_l1_prior,
                      make_tv1d_prior)
-from .sampling import (Chain, ChainSummary, sample_gibbs, sample_rwm,
-                       summarize, two_chain_discrepancy)
+from .sampling import (Chain, ChainSummary, gibbs_layout, rwm_layout,
+                       sample_gibbs, sample_rwm, summarize,
+                       two_chain_discrepancy)
 
 SCENARIOS = ("deblur2d", "tv1d", "ct2d")
+# the prior each scenario is built with
+SCENARIO_PRIORS = {"deblur2d": "l1", "tv1d": "tv1d", "ct2d": "besov"}
 
 
 @dataclass(frozen=True)
@@ -48,14 +51,13 @@ class ScenarioConfig:
     truth_factor: int = 4
     noise_fraction: float = 0.1
     # prior / lambda rule
-    prior_kind: str = "l1"  # gaussian | l1 | tv1d | besov
+    prior_kind: Optional[str] = None  # None: the scenario's prior
     lam: Optional[float] = None
     lambda_rule: str = "fixed"  # fixed | sqrt_n | s_curve
     rule_constant: float = 1.0
     s_curve_target: Optional[float] = None  # None: truth coefficient sparsity
     s_curve_bracket: tuple[float, float] = (1e-3, 1e2)
     s_curve_tol: float = 0.02
-    beta: float = 1.0
     # solver / sampler
     solver: SolverOptions = field(default_factory=SolverOptions)
     n_samples: int = 600
@@ -78,6 +80,12 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.name not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.name!r}")
+        prior = SCENARIO_PRIORS[self.name]
+        if self.prior_kind is None:
+            object.__setattr__(self, "prior_kind", prior)
+        elif self.prior_kind != prior:
+            raise ValueError(f"[prior] kind = {self.prior_kind!r}: scenario "
+                             f"{self.name} is built with the {prior} prior")
         if self.noise_fraction <= 0:
             raise ValueError("noise fraction must be positive")
         if self.truth_factor < 1 or int(self.truth_factor) != self.truth_factor:
@@ -464,16 +472,22 @@ def scenario_solver_options(cfg: ScenarioConfig, lam: float,
 def sample_posterior(post: Posterior, cfg: ScenarioConfig, method: str,
                      initial: Optional[np.ndarray] = None) -> list[Chain]:
     burn = cfg.burn_in if cfg.burn_in is not None else max(1, cfg.n_samples // 10)
+    # the column structure (and the Gibbs colouring) is built once and
+    # shared by every chain of this posterior
     chains = []
-    for c in range(cfg.n_chains):
-        if method == "gibbs":
+    if method == "gibbs":
+        layout = gibbs_layout(post)
+        for c in range(cfg.n_chains):
             chains.append(sample_gibbs(post, cfg.n_samples, burn, cfg.thinning,
                                        seed=cfg.seed, chain_index=c,
-                                       initial=initial))
-        else:
+                                       initial=initial, layout=layout))
+    else:
+        layout = rwm_layout(post)
+        for c in range(cfg.n_chains):
             chains.append(sample_rwm(post, cfg.n_samples, burn, cfg.thinning,
                                      step=cfg.rwm_step, seed=cfg.seed,
-                                     chain_index=c, initial=initial))
+                                     chain_index=c, initial=initial,
+                                     layout=layout))
     return chains
 
 

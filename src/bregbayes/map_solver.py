@@ -297,8 +297,16 @@ def _residual_norm(post: Posterior, estimate: np.ndarray) -> float:
     if prior.kind == "l1" and prior.transform is None:
         return _box_violation(p_hat, estimate, np.ones_like(estimate))
     if prior.kind in ("l1", "besov") and prior.transform is not None:
-        coef = prior.transform.apply(estimate)
-        eta = prior.transform.apply(p_hat)
+        # eta is the least-norm solution of Phi^T eta = p_hat, that is
+        # Phi y with Phi^T Phi y = p_hat; y = p_hat when Phi^T Phi = I (the
+        # Besov wavelet, or an l1 transform with a prox)
+        phi = prior.transform
+        coef = phi.apply(estimate)
+        y = p_hat
+        if prior.kind == "l1" and prior.prox_fn is None:
+            y, _ = _cg(lambda v: phi.adjoint_apply(phi.apply(v)), p_hat,
+                       np.zeros_like(p_hat), 1e-13, 10 * p_hat.size)
+        eta = phi.apply(y)
         w = prior.weights if prior.weights is not None else np.ones_like(coef)
         return _box_violation(eta, coef, w)
     if prior.kind == "tv1d":

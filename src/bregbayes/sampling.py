@@ -2,16 +2,22 @@
 
 Two samplers are provided:
 
-* :func:`sample_gibbs` -- systematic-sweep single-component Gibbs with
-  exact piecewise-Gaussian conditionals. Works for the Gaussian, pixel
-  domain l1, and 1D TV priors, whose single-coordinate conditionals have
-  the form exp(-(a t^2 + b t) - sum_j c_j |t - d_j|).
+* :func:`sample_gibbs` -- chromatic single-component Gibbs with exact
+  piecewise-Gaussian conditionals. Works for the Gaussian, pixel domain
+  l1, and 1D TV priors, whose single-coordinate conditionals have the
+  form exp(-(a t^2 + b t) - sum_j c_j |t - d_j|). The coordinates are
+  coloured once per posterior so that no two coordinates of one colour
+  share a data row or a prior coupling; each sweep visits the colour
+  classes in turn and draws all members of a class at once, which is
+  exact Gibbs with a colour-by-colour scan order.
 * :func:`sample_rwm` -- componentwise Gaussian-proposal Metropolis for
   everything else (notably the Besov prior in its wavelet domain).
 
 RNG contract: NumPy PCG64 seeded with SeedSequence([seed, chain_index]),
 so chains are bit-reproducible from (seed, method, options) and parallel
-chains with distinct indices never share a stream.
+chains with distinct indices never share a stream. A Gibbs sweep draws
+one ``rng.random((n, 2))`` block and coordinate i uses row i of it,
+whatever the scan order.
 """
 
 from __future__ import annotations
@@ -19,8 +25,10 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
@@ -30,8 +38,6 @@ from .model import Posterior
 from .operators import sparse_columns
 from .priors import Prior
 
-_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
-
 
 # ---------------------------------------------------------------------------
 # exact piecewise-Gaussian 1D sampling
@@ -40,116 +46,131 @@ _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 def _log_norm_cdf_diff(alpha, beta):
     """log(Phi(beta) - Phi(alpha)) for alpha <= beta, stable in both tails."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    # work on the side where the CDF is small: flip positive pairs
-    with np.errstate(invalid="ignore"):
-        flip = alpha + beta > 0  # False for (-inf, inf), which is what we want
+    # work on the side where the CDF is small: flip pairs with a positive
+    # sum (written so that (-inf, inf) compares False without a warning)
+    flip = alpha > -beta
     a = np.where(flip, -beta, alpha)
     b = np.where(flip, -alpha, beta)
     la = log_ndtr(a)
     lb = log_ndtr(b)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"):
         out = lb + np.log1p(-np.exp(np.minimum(la - lb, 0.0)))
     return np.where(np.isneginf(lb), -np.inf, out)
+
+
+def _truncnorm_std(alpha, beta, u):
+    """Standard-normal draw truncated to [alpha, beta] via log-space ppf."""
+    flip = alpha > -beta
+    a = np.where(flip, -beta, alpha)
+    b = np.where(flip, -alpha, beta)
+    u = np.where(flip, 1.0 - u, u)
+    la = log_ndtr(a)
+    lb = log_ndtr(b)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        span = -np.expm1(np.minimum(la - lb, 0.0))  # 1 - exp(la - lb)
+        logp = lb + np.log1p(u * span - span)
+    logp = np.minimum(logp, 0.0)
+    x = ndtri_exp(np.where(np.isfinite(logp), logp, lb))
+    x = np.clip(x, a, b)
+    return np.where(flip, -x, x)
+
+
+class _Pieces(NamedTuple):
+    """Piece table of B densities, one row each (see :func:`_pg_table`)."""
+
+    mu: np.ndarray  # (B, P) centre of the Gaussian on each piece
+    sigma: np.ndarray  # (B, 1)
+    lo: np.ndarray  # (B, P) piece p covers [lo, hi]
+    hi: np.ndarray
+    alpha: np.ndarray  # (B, P) standardised piece bounds
+    beta: np.ndarray
+    log_mass: np.ndarray  # (B, P) up to a constant per row
+
+
+def _pg_table(a, b, c, d) -> _Pieces:
+    """Pieces of exp(-(a t^2 + b t) - sum_j c_j |t - d_j|), B rows at once.
+
+    ``a``, ``b`` have shape (B,) with a > 0; ``c``, ``d`` have shape (B, K):
+    kink weights >= 0 and locations, sorted by location along each row.
+    Rows with fewer kinks are padded with weight-0 kinks at the location
+    of a real kink of the row; such a pad adds a piece of zero width and
+    zero mass, so it changes no draw. Between kinks the density is a
+    scaled Gaussian, which makes sampling exact.
+    """
+    zero = np.zeros((a.size, 1))
+    left_c = np.concatenate([zero, np.cumsum(c, axis=1)], axis=1)
+    left_cd = np.concatenate([zero, np.cumsum(c * d, axis=1)], axis=1)
+    # on piece p, sum_j c_j |t - d_j| = slope_p * t + offset_p
+    slope = 2.0 * left_c - left_c[:, -1:]
+    offset = left_cd[:, -1:] - 2.0 * left_cd
+    two_a = 2.0 * a[:, None]
+    sigma = 1.0 / np.sqrt(two_a)
+    mu = -(b[:, None] + slope) / two_a
+    inf = np.full_like(zero, np.inf)
+    lo = np.concatenate([-inf, d], axis=1)
+    hi = np.concatenate([d, inf], axis=1)
+    alpha = (lo - mu) / sigma
+    beta = (hi - mu) / sigma
+    log_mass = a[:, None] * mu * mu - offset + _log_norm_cdf_diff(alpha, beta)
+    return _Pieces(mu, sigma, lo, hi, alpha, beta, log_mass)
+
+
+def _pg_draw(pc: _Pieces, rows: np.ndarray, u1: np.ndarray,
+             u2: np.ndarray) -> np.ndarray:
+    """One exact draw from row ``rows[k]`` of the table for each k.
+
+    u1 selects the piece by its mass, u2 the position within it.
+    """
+    w = np.exp(pc.log_mass - pc.log_mass.max(axis=1, keepdims=True))
+    cum = np.cumsum(w, axis=1)[rows]
+    last = cum.shape[1] - 1
+    p = np.minimum((cum <= u1[:, None] * cum[:, -1:]).sum(axis=1), last)
+    z = _truncnorm_std(pc.alpha[rows, p], pc.beta[rows, p], u2)
+    t = pc.mu[rows, p] + pc.sigma[rows, 0] * z
+    return np.clip(t, pc.lo[rows, p], pc.hi[rows, p])
 
 
 class PiecewiseGaussian1D:
     """Density ~ exp(-(a t^2 + b t) - sum_j c_j |t - d_j|), a > 0.
 
     Between kinks the density is a scaled Gaussian, so sampling is exact:
-    pick a piece by its log mass, then draw a truncated normal by inverse
-    CDF in log space.
+    pick a piece by its mass, then draw a truncated normal by inverse
+    CDF in log space. The piece table is the batched one with B = 1.
     """
 
     def __init__(self, a: float, b: float, kinks=()):
         if not np.isfinite(a) or a <= 0:
             raise ValueError(f"quadratic coefficient must be positive, got {a}")
-        self.a = float(a)
-        self.b = float(b)
-        kinks = [(float(c), float(d)) for c, d in kinks if c != 0.0]
-        kinks.sort(key=lambda cd: cd[1])
-        # merge kinks at identical locations
-        merged: list[list[float]] = []
-        for c, d in kinks:
-            if c < 0:
-                raise ValueError("kink weights must be nonnegative")
-            if merged and merged[-1][1] == d:
-                merged[-1][0] += c
-            else:
-                merged.append([c, d])
-        c_arr = np.array([c for c, _ in merged])
-        d_arr = np.array([d for _, d in merged])
-        n_pieces = d_arr.size + 1
-        # on piece p, sum_j c_j |t - d_j| = slope_p * t + offset_p
-        left_c = np.concatenate([[0.0], np.cumsum(c_arr)])
-        left_cd = np.concatenate([[0.0], np.cumsum(c_arr * d_arr)])
-        slope = 2.0 * left_c - c_arr.sum()
-        offset = (c_arr * d_arr).sum() - 2.0 * left_cd
-        # piece p covers [lo_p, hi_p]
-        lo = np.concatenate([[-np.inf], d_arr])
-        hi = np.concatenate([d_arr, [np.inf]])
-
-        sigma = 1.0 / np.sqrt(2.0 * self.a)
-        mu = -(self.b + slope) / (2.0 * self.a)
-        alpha = (lo - mu) / sigma
-        beta_ = (hi - mu) / sigma
-        log_mass = (self.a * mu**2 - offset + _LOG_SQRT_2PI + np.log(sigma)
-                    + _log_norm_cdf_diff(alpha, beta_))
-        self.d = d_arr
-        self.mu = mu
-        self.sigma = sigma
-        self.lo = lo
-        self.hi = hi
-        self.alpha = alpha
-        self.beta = beta_
-        shift = log_mass.max()
-        mass = np.exp(log_mass - shift)
-        self.log_norm = shift + np.log(mass.sum())
+        kinks = sorted(((float(c), float(d)) for c, d in kinks if c != 0.0),
+                       key=lambda cd: cd[1])
+        if any(c < 0 for c, _ in kinks):
+            raise ValueError("kink weights must be nonnegative")
+        c = np.array([[c for c, _ in kinks]]).reshape(1, -1)
+        self.d = np.array([d for _, d in kinks])
+        self.table = _pg_table(np.array([float(a)]), np.array([float(b)]), c,
+                               self.d.reshape(1, -1))
+        mass = np.exp(self.table.log_mass[0] - self.table.log_mass.max())
         self.cum_prob = np.cumsum(mass / mass.sum())
-        self.n_pieces = n_pieces
-
-    def _draw_piece(self, u_piece):
-        return np.minimum(np.searchsorted(self.cum_prob, u_piece),
-                          self.n_pieces - 1)
-
-    def _truncnorm_std(self, alpha, beta, u):
-        """Standard-normal draw truncated to [alpha, beta] via log-space ppf."""
-        with np.errstate(invalid="ignore"):
-            flip = alpha + beta > 0
-        a = np.where(flip, -beta, alpha)
-        b = np.where(flip, -alpha, beta)
-        u = np.where(flip, 1.0 - u, u)
-        la = log_ndtr(a)
-        lb = log_ndtr(b)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            span = -np.expm1(np.minimum(la - lb, 0.0))  # 1 - exp(la - lb)
-            logp = lb + np.log1p(u * span - span)
-        logp = np.minimum(logp, 0.0)
-        x = ndtri_exp(np.where(np.isfinite(logp), logp, lb))
-        x = np.clip(x, a, b)
-        return np.where(flip, -x, x)
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         scalar = size is None
         m = 1 if scalar else int(size)
         u1 = rng.random(m)
         u2 = rng.random(m)
-        p = self._draw_piece(u1)
-        z = self._truncnorm_std(self.alpha[p], self.beta[p], u2)
-        t = self.mu[p] + self.sigma * z
-        t = np.clip(t, self.lo[p], self.hi[p])
+        t = _pg_draw(self.table, np.zeros(m, dtype=np.intp), u1, u2)
         return float(t[0]) if scalar else t
 
     def cdf(self, t):
         """Exact CDF, vectorized; used by the KS acceptance checks."""
         t = np.asarray(t, dtype=np.float64)
+        pc = self.table
+        mu, alpha, beta = pc.mu[0], pc.alpha[0], pc.beta[0]
         p = np.searchsorted(self.d, t)
         below = np.where(p > 0, self.cum_prob[np.maximum(p - 1, 0)], 0.0)
         width = self.cum_prob[p] - below
-        z = np.clip((t - self.mu[p]) / self.sigma, self.alpha[p], self.beta[p])
-        frac_num = _log_norm_cdf_diff(self.alpha[p], z)
-        frac_den = _log_norm_cdf_diff(self.alpha[p], self.beta[p])
+        z = np.clip((t - mu[p]) / pc.sigma[0, 0], alpha[p], beta[p])
+        frac_num = _log_norm_cdf_diff(alpha[p], z)
+        frac_den = _log_norm_cdf_diff(alpha[p], beta[p])
         with np.errstate(invalid="ignore"):
             frac = np.exp(frac_num - frac_den)
         frac = np.where(np.isfinite(frac), frac, 0.0)
@@ -157,9 +178,9 @@ class PiecewiseGaussian1D:
 
 
 # ---------------------------------------------------------------------------
-# scalar fast path for the Gibbs sweep (same math as PiecewiseGaussian1D,
-# plain floats to avoid tiny-array numpy overhead; a test pins the two
-# implementations to identical draws)
+# scalar draw for colour classes of one coordinate (same math as the
+# batched kernel in plain floats, which avoids its array overhead at B = 1;
+# a test pins the two to identical draws)
 # ---------------------------------------------------------------------------
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -360,43 +381,281 @@ def _chain_rng(seed: int, chain_index: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# coordinate models shared by the samplers
+# chromatic Gibbs
 # ---------------------------------------------------------------------------
 
 
-class _CoordinateState:
-    """Incremental per-coordinate view of the posterior energy.
+_GIBBS_PRIORS = ("gaussian", "l1", "tv1d")
 
-    Maintains the data residual rho = f - K u (and L u or W u where the
-    prior needs it) so that single-coordinate conditionals and energy
-    differences cost O(column support) instead of O(n).
+
+@dataclass(frozen=True)
+class GibbsLayout:
+    """Colour classes of a posterior and its columns of K in scan order.
+
+    Built once per posterior by :func:`gibbs_layout` and shared by its
+    chains. Row j of the packed arrays belongs to coordinate ``order[j]``,
+    and colour class k is ``order[bounds[k]:bounds[k + 1]]``, in index
+    order. Columns are padded to a common length with value 0 at row
+    ``out_dim``, a spare residual slot that stays 0.
     """
 
-    def __init__(self, post: Posterior, u0: np.ndarray):
+    order: np.ndarray = field(repr=False)  # (n,) coordinates in scan order
+    bounds: np.ndarray = field(repr=False)  # (n_classes + 1,)
+    rows: np.ndarray = field(repr=False)  # (n, width) int32 data rows
+    vals: np.ndarray = field(repr=False)  # (n, width) column values
+    pvals: np.ndarray = field(repr=False)  # values weighted by the precision
+    colnorm: np.ndarray = field(repr=False)  # (n,) ||K e_i||_P^2
+
+
+def _greedy_colouring(cols, n_rows: int, neighbours) -> np.ndarray:
+    """Smallest free colour per coordinate, coordinates taken in index order.
+
+    Two coordinates conflict when their columns share a data row, or when
+    ``neighbours(i)`` lists the earlier one (a coupling through the prior).
+    ``used[r]`` is the bitmask of colours whose columns touch data row r.
+    """
+    used = [0] * n_rows
+    colour: list[int] = []
+    for i, (rows, _) in enumerate(cols):
+        rows = rows.tolist()
+        taken = reduce(or_, map(used.__getitem__, rows), 0)
+        for j in neighbours(i):
+            taken |= 1 << colour[j]
+        k = (~taken & (taken + 1)).bit_length() - 1
+        colour.append(k)
+        bit = 1 << k
+        for r in rows:
+            used[r] |= bit
+    return np.array(colour, dtype=np.intp)
+
+
+def gibbs_layout(post: Posterior) -> GibbsLayout:
+    """Colour the coordinates of ``post`` and pack the columns of K.
+
+    Coordinates of one colour share no data row, no TV edge and no entry
+    of L^T L, so their conditionals are independent given the rest.
+    """
+    prior = post.prior
+    kind = prior.kind
+    if kind not in _GIBBS_PRIORS or (kind == "l1"
+                                     and prior.transform is not None):
+        raise ValueError(f"sample_gibbs: unsupported prior structure "
+                         f"'{kind}'")
+    if post.noise.precision_apply is not None:
+        raise ValueError("samplers support diagonal noise precision only")
+    op = post.operator
+    cols = sparse_columns(op)
+    if kind == "tv1d":
+        neighbours = lambda i: (i - 1,) if i > 0 else ()
+    elif kind == "gaussian" and prior.l_matrix is not None:
+        coupled = (prior.l_matrix.T @ prior.l_matrix) != 0.0
+        neighbours = lambda i: np.flatnonzero(coupled[i, :i]).tolist()
+    else:
+        neighbours = lambda i: ()
+    colour = _greedy_colouring(cols, op.out_dim, neighbours)
+    order = np.argsort(colour, kind="stable")
+    bounds = np.searchsorted(colour[order], np.arange(colour.max() + 2))
+    n = len(cols)
+    width = max(r.size for r, _ in cols)
+    rows = np.full((n, width), op.out_dim, dtype=np.int32)
+    vals = np.zeros((n, width))
+    pvals = np.zeros((n, width))
+    colnorm = np.empty(n)
+    prec = post.noise.precision_diag
+    for j, i in enumerate(order):
+        r, v = cols[i]
+        pv = v * prec[r]
+        rows[j, :r.size] = r
+        vals[j, :r.size] = v
+        pvals[j, :r.size] = pv
+        colnorm[j] = float(v @ pv)
+    if np.any(colnorm <= 0.0) and kind != "gaussian":
+        raise ValueError("non-normalizable conditional: operator has a zero "
+                         "column and the prior adds no curvature")
+    return GibbsLayout(order, bounds, rows, vals, pvals, colnorm)
+
+
+def sample_gibbs(post: Posterior, n_samples: int, burn_in: int = 0,
+                 thinning: int = 1, seed: int = 0, chain_index: int = 0,
+                 initial: Optional[np.ndarray] = None,
+                 layout: Optional[GibbsLayout] = None) -> Chain:
+    """Chromatic Gibbs with exact piecewise-Gaussian conditionals.
+
+    Each sweep visits the colour classes of ``layout`` (built from
+    ``post`` when not given) in turn and draws all members of a class from
+    their exact conditionals at once; a class of one coordinate takes the
+    scalar draw. One recorded sample per ``thinning`` sweeps after
+    ``burn_in`` sweeps. Supported priors: Gaussian, pixel-domain l1, and
+    1D TV.
+    """
+    if n_samples < 1 or thinning < 1 or burn_in < 0:
+        raise ValueError("bad chain sizing")
+    if layout is None:
+        layout = gibbs_layout(post)
+    prior = post.prior
+    kind = prior.kind
+    lam = prior.lam
+    rng = _chain_rng(seed, chain_index)
+    n = post.dim
+    op = post.operator
+    f = post.data.values
+    u = initial.copy() if initial is not None else np.zeros(n)
+    rho = np.zeros(op.out_dim + 1)  # the last slot is the padding target
+    rho[:-1] = f - op.apply(u)
+    order = layout.order
+    a_all = 0.5 * layout.colnorm
+    l_mat = None
+    if kind == "gaussian":
+        # J = beta / (2 lam) ||L u||^2; with L = I it adds beta/2 to a only
+        lc = lam * (prior.beta / (2.0 * lam))
+        l_mat = prior.l_matrix
+        if l_mat is None:
+            a_all = a_all + lc
+        else:
+            lnorm = np.einsum("ij,ij->j", l_mat, l_mat)
+            lw = l_mat @ u
+            a_all = a_all + lc * lnorm[order]
+    blocks = []
+    for k0, k1 in zip(layout.bounds[:-1], layout.bounds[1:]):
+        if k1 - k0 == 1:
+            blocks.append((order[k0], layout.rows[k0], layout.vals[k0],
+                           layout.pvals[k0], layout.colnorm[k0], a_all[k0],
+                           None, None))
+            continue
+        members = order[k0:k1]
+        size = k1 - k0
+        if kind == "l1":
+            kinks = (np.full((size, 1), lam), np.zeros((size, 1)))
+        elif kind == "tv1d":
+            # a coordinate at an end has one neighbour; its other kink is a
+            # weight-0 pad at the same location
+            left = np.where(members > 0, members - 1, members + 1)
+            right = np.where(members < n - 1, members + 1, members - 1)
+            weights = np.column_stack([np.where(members > 0, lam, 0.0),
+                                       np.where(members < n - 1, lam, 0.0)])
+            kinks = (weights, left, right)
+        else:
+            kinks = (np.zeros((size, 0)), np.zeros((size, 0)))
+        blocks.append((members, layout.rows[k0:k1], layout.vals[k0:k1],
+                       layout.pvals[k0:k1], layout.colnorm[k0:k1],
+                       a_all[k0:k1], kinks, np.arange(size)))
+    total_sweeps = burn_in + n_samples * thinning
+    out = np.empty((n_samples, n))
+    rec = 0
+    last = n - 1
+    for sweep in range(total_sweeps):
+        uu = rng.random((n, 2))
+        for members, idx, vals, pv, cn, a, kinks, span in blocks:
+            if span is None:
+                # scalar draw, with the arithmetic of a sequential sweep
+                i = members
+                ui = u[i]
+                b = -(ui * cn + float(pv @ rho[idx]))
+                if kind == "gaussian":
+                    if l_mat is not None:
+                        b += 2.0 * lc * (float(l_mat[:, i] @ lw)
+                                         - ui * lnorm[i])
+                    ks = ()
+                elif kind == "l1":
+                    ks = ((lam, 0.0),)
+                elif i == 0:
+                    ks = ((lam, u[1]),)
+                elif i == last:
+                    ks = ((lam, u[last - 1]),)
+                else:
+                    dl, dr = u[i - 1], u[i + 1]
+                    ks = (((lam, dl), (lam, dr)) if dl <= dr
+                          else ((lam, dr), (lam, dl)))
+                t = _pg_draw_scalar(a, b, ks, uu[i, 0], uu[i, 1])
+                delta = t - ui
+                if delta != 0.0:
+                    rho[idx] -= delta * vals
+                    if l_mat is not None:
+                        lw += delta * l_mat[:, i]
+                    u[i] = t
+                continue
+            ui = u[members]
+            b = -(ui * cn + np.einsum("ij,ij->i", pv, rho[idx]))
+            if l_mat is not None:
+                l_cols = l_mat[:, members]
+                b += 2.0 * lc * (l_cols.T @ lw - ui * lnorm[members])
+            if kind == "tv1d":
+                c, left, right = kinks
+                dl, dr = u[left], u[right]
+                d = np.column_stack([np.minimum(dl, dr), np.maximum(dl, dr)])
+            else:
+                c, d = kinks
+            t = _pg_draw(_pg_table(a, b, c, d), span, uu[members, 0],
+                         uu[members, 1])
+            delta = t - ui
+            # members share no data row, so this indexed update is exact
+            rho[idx] -= delta[:, None] * vals
+            if l_mat is not None:
+                lw += l_cols @ delta
+            u[members] = t
+        if (sweep + 1) % 256 == 0:
+            # recompute the cached residuals from scratch (guards float drift)
+            rho[:-1] = f - op.apply(u)
+            if l_mat is not None:
+                lw = l_mat @ u
+        if sweep >= burn_in and (sweep - burn_in) % thinning == 0:
+            out[rec] = u
+            rec += 1
+    return Chain(out[:rec], seed=seed, burn_in=burn_in, thinning=thinning,
+                 method="gibbs", grid=post.grid)
+
+
+# ---------------------------------------------------------------------------
+# random-walk Metropolis
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RwmLayout:
+    """Column structure of a posterior for RWM, shared by its chains.
+
+    ``pcols`` holds, per coordinate, the rows and values of K e_i and the
+    values weighted by the noise precision; ``w_cols`` the columns of the
+    Besov transform (None for other priors).
+    """
+
+    pcols: list = field(repr=False)
+    colnorm: np.ndarray = field(repr=False)
+    w_cols: Optional[list] = field(repr=False)
+
+
+def rwm_layout(post: Posterior) -> RwmLayout:
+    if post.noise.precision_apply is not None:
+        raise ValueError("samplers support diagonal noise precision only")
+    prec = post.noise.precision_diag
+    pcols = [(idx, vals, vals * prec[idx])
+             for idx, vals in sparse_columns(post.operator)]
+    colnorm = np.array([float(v @ pv) for _, v, pv in pcols])
+    w_cols = (sparse_columns(post.prior.transform)
+              if post.prior.kind == "besov" else None)
+    return RwmLayout(pcols, colnorm, w_cols)
+
+
+class _CoordinateState:
+    """Incremental per-coordinate view of the posterior energy for RWM.
+
+    Maintains the data residual rho = f - K u (and L u or W u where the
+    prior needs it) so that single-coordinate energy differences cost
+    O(column support) instead of O(n).
+    """
+
+    def __init__(self, post: Posterior, u0: np.ndarray, layout: RwmLayout):
         self.post = post
         prior = post.prior
         self.lam = prior.lam
         self.u = u0.copy()
-        op = post.operator
-        self.cols = sparse_columns(op)
-        prec = post.noise.precision_diag
-        if post.noise.precision_apply is not None:
-            raise ValueError("samplers support diagonal noise precision only")
-        self.pcols = [(idx, vals, vals * prec[idx]) for idx, vals in self.cols]
-        self.colnorm = np.array([float(v @ pv) for _, v, pv in self.pcols])
-        self.rho = post.data.values - op.apply(self.u)
-        kind = prior.kind
-        if kind == "gaussian":
-            n = op.in_dim
-            self.l_mat = prior.l_matrix if prior.l_matrix is not None else np.eye(n)
-            self.beta = prior.beta
-            self.lw = self.l_mat @ self.u
+        self.pcols = layout.pcols
+        self.colnorm = layout.colnorm
+        self.w_cols = layout.w_cols
+        self.l_mat = prior.l_matrix if prior.kind == "gaussian" else None
+        if self.l_mat is not None:
             self.lnorm = np.einsum("ij,ij->j", self.l_mat, self.l_mat)
-        elif kind == "besov":
-            self.w_cols = sparse_columns(prior.transform)
-            self.coef = prior.transform.apply(self.u)
-            self.weights = prior.weights
-        # other prior kinds fall back to full energy differences
+        self.refresh()
 
     # likelihood part: E_lik(t) = a t^2 + b t + const for coordinate i
     def quad_terms(self, i: int) -> tuple[float, float]:
@@ -404,29 +663,6 @@ class _CoordinateState:
         a = 0.5 * self.colnorm[i]
         b = -(self.u[i] * self.colnorm[i] + float(pv @ self.rho[idx]))
         return a, b
-
-    def prior_conditional(self, i: int):
-        """(quad_a, lin_b, kinks) contributed by lam * J along coordinate i."""
-        prior = self.post.prior
-        kind = prior.kind
-        lam = self.lam
-        if kind == "gaussian":
-            c = self.beta / (2.0 * prior.lam)  # J = c ||L u||^2
-            li = self.l_mat[:, i]
-            ln = self.lnorm[i]
-            a = lam * c * ln
-            b = 2.0 * lam * c * (float(li @ self.lw) - self.u[i] * ln)
-            return a, b, []
-        if kind == "l1":
-            return 0.0, 0.0, [(lam, 0.0)]
-        if kind == "tv1d":
-            kinks = []
-            if i > 0:
-                kinks.append((lam, self.u[i - 1]))
-            if i < self.u.size - 1:
-                kinks.append((lam, self.u[i + 1]))
-            return 0.0, 0.0, kinks
-        raise ValueError(f"no exact conditional for prior '{kind}'")
 
     def prior_delta(self, i: int, t: float) -> float:
         """lam * (J(u with u_i = t) - J(u)) for the RWM acceptance ratio."""
@@ -437,7 +673,7 @@ class _CoordinateState:
             jdx, wvals = self.w_cols[i]
             new = np.abs(self.coef[jdx] + (t - ui) * wvals)
             old = np.abs(self.coef[jdx])
-            return self.lam * float(self.weights[jdx] @ (new - old))
+            return self.lam * float(prior.weights[jdx] @ (new - old))
         if kind == "l1" and prior.transform is None:
             return self.lam * (abs(t) - abs(ui))
         if kind == "tv1d":
@@ -448,7 +684,14 @@ class _CoordinateState:
                 delta += abs(self.u[i + 1] - t) - abs(self.u[i + 1] - ui)
             return self.lam * delta
         if kind == "gaussian":
-            a, b, _ = self.prior_conditional(i)
+            # J = beta / (2 lam) ||L u||^2 along coordinate i: a t^2 + b t
+            lc = self.lam * (prior.beta / (2.0 * self.lam))
+            if self.l_mat is None:
+                a, b = lc, 0.0
+            else:
+                ln = self.lnorm[i]
+                a = lc * ln
+                b = 2.0 * lc * (float(self.l_mat[:, i] @ self.lw) - ui * ln)
             return a * (t**2 - ui**2) + b * (t - ui)
         # generic fallback: full energy difference
         u_new = self.u.copy()
@@ -461,10 +704,9 @@ class _CoordinateState:
             return
         idx, vals, _ = self.pcols[i]
         self.rho[idx] -= delta * vals
-        kind = self.post.prior.kind
-        if kind == "gaussian":
+        if self.l_mat is not None:
             self.lw += delta * self.l_mat[:, i]
-        elif kind == "besov":
+        elif self.w_cols is not None:
             jdx, wvals = self.w_cols[i]
             self.coef[jdx] += delta * wvals
         self.u[i] = t
@@ -472,100 +714,17 @@ class _CoordinateState:
     def refresh(self) -> None:
         """Recompute cached residuals from scratch (guards float drift)."""
         self.rho = self.post.data.values - self.post.operator.apply(self.u)
-        kind = self.post.prior.kind
-        if kind == "gaussian":
+        if self.l_mat is not None:
             self.lw = self.l_mat @ self.u
-        elif kind == "besov":
+        elif self.w_cols is not None:
             self.coef = self.post.prior.transform.apply(self.u)
-
-
-_GIBBS_PRIORS = ("gaussian", "l1", "tv1d")
-
-
-def sample_gibbs(post: Posterior, n_samples: int, burn_in: int = 0,
-                 thinning: int = 1, seed: int = 0, chain_index: int = 0,
-                 initial: Optional[np.ndarray] = None) -> Chain:
-    """Systematic-sweep Gibbs with exact piecewise-Gaussian conditionals.
-
-    One recorded sample per ``thinning`` sweeps after ``burn_in`` sweeps.
-    Supported priors: Gaussian, pixel-domain l1, and 1D TV.
-    """
-    prior = post.prior
-    kind = prior.kind
-    if kind not in _GIBBS_PRIORS or (kind == "l1"
-                                     and prior.transform is not None):
-        raise ValueError(f"sample_gibbs: unsupported prior structure "
-                         f"'{kind}'")
-    if n_samples < 1 or thinning < 1 or burn_in < 0:
-        raise ValueError("bad chain sizing")
-    rng = _chain_rng(seed, chain_index)
-    n = post.dim
-    state = _CoordinateState(post, initial.copy() if initial is not None
-                             else np.zeros(n))
-    if np.any(state.colnorm <= 0.0) and kind != "gaussian":
-        raise ValueError("non-normalizable conditional: operator has a zero "
-                         "column and the prior adds no curvature")
-    total_sweeps = burn_in + n_samples * thinning
-    out = np.empty((n_samples, n))
-    rec = 0
-    # hot loop: plain floats and preextracted columns
-    u = state.u
-    rho = state.rho
-    pcols = state.pcols
-    colnorm = state.colnorm
-    lam = prior.lam
-    if kind == "gaussian":
-        c_g = prior.beta / (2.0 * lam)
-        l_mat = state.l_mat
-        lnorm = state.lnorm
-        lw = state.lw
-    last = n - 1
-    for sweep in range(total_sweeps):
-        uu = rng.random((n, 2))
-        for i in range(n):
-            idx, vals, pv = pcols[i]
-            ui = u[i]
-            a = 0.5 * colnorm[i]
-            b = -(ui * colnorm[i] + float(pv @ rho[idx]))
-            if kind == "gaussian":
-                ln = lnorm[i]
-                a += lam * c_g * ln
-                b += 2.0 * lam * c_g * (float(l_mat[:, i] @ lw) - ui * ln)
-                t = _pg_draw_scalar(a, b, (), uu[i, 0], uu[i, 1])
-            elif kind == "l1":
-                t = _pg_draw_scalar(a, b, ((lam, 0.0),), uu[i, 0], uu[i, 1])
-            else:  # tv1d
-                if i == 0:
-                    kinks = ((lam, u[1]),)
-                elif i == last:
-                    kinks = ((lam, u[last - 1]),)
-                else:
-                    dl, dr = u[i - 1], u[i + 1]
-                    kinks = (((lam, dl), (lam, dr)) if dl <= dr
-                             else ((lam, dr), (lam, dl)))
-                t = _pg_draw_scalar(a, b, kinks, uu[i, 0], uu[i, 1])
-            delta = t - ui
-            if delta != 0.0:
-                rho[idx] -= delta * vals
-                if kind == "gaussian":
-                    lw += delta * l_mat[:, i]
-                u[i] = t
-        if (sweep + 1) % 256 == 0:
-            state.refresh()
-            rho = state.rho
-            if kind == "gaussian":
-                lw = state.lw
-        if sweep >= burn_in and (sweep - burn_in) % thinning == 0:
-            out[rec] = u
-            rec += 1
-    return Chain(out[:rec], seed=seed, burn_in=burn_in, thinning=thinning,
-                 method="gibbs", grid=post.grid)
 
 
 def sample_rwm(post: Posterior, n_samples: int, burn_in: int = 0,
                thinning: int = 1, step: float = 1.0, seed: int = 0,
                chain_index: int = 0,
-               initial: Optional[np.ndarray] = None) -> Chain:
+               initial: Optional[np.ndarray] = None,
+               layout: Optional[RwmLayout] = None) -> Chain:
     """Componentwise random-walk Metropolis targeting the posterior.
 
     Proposal for coordinate i is Gaussian with std ``step / sqrt(2 a_i)``
@@ -580,7 +739,8 @@ def sample_rwm(post: Posterior, n_samples: int, burn_in: int = 0,
     rng = _chain_rng(seed, chain_index)
     n = post.dim
     state = _CoordinateState(post, initial.copy() if initial is not None
-                             else np.zeros(n))
+                             else np.zeros(n),
+                             layout if layout is not None else rwm_layout(post))
     scale = np.where(state.colnorm > 0, step / np.sqrt(np.maximum(state.colnorm,
                                                                   1e-300)),
                      step)

@@ -111,6 +111,25 @@ def test_ct_config_defaults():
     assert cfg.angles == 15 and cfg.bins == 95
 
 
+@pytest.mark.parametrize("name, kind", [("deblur2d", "l1"), ("tv1d", "tv1d"),
+                                        ("ct2d", "besov")])
+def test_config_prior_kind_must_name_the_scenario_prior(name, kind):
+    head = f"[scenario]\nname = {name}\n[prior]\nkind = "
+    assert parse_config_text(head + kind + "\n").prior_kind == kind
+    for other in {"gaussian", "l1", "tv1d", "besov"} - {kind}:
+        with pytest.raises(ValueError, match=r"\[prior\] kind"):
+            parse_config_text(head + other + "\n")
+    with pytest.raises(ValueError, match=r"\[prior\] kind"):
+        experiments.ScenarioConfig(name=name, lam=1.0, prior_kind="gaussian")
+
+
+def test_config_rejects_prior_beta():
+    # no scenario has a Gaussian prior, so its weight is not a config key
+    with pytest.raises(ValueError, match="beta"):
+        parse_config_text(TINY_DEBLUR.replace("[prior]\n",
+                                              "[prior]\nbeta = 1.0\n"))
+
+
 # -- subcommands -------------------------------------------------------------------
 
 

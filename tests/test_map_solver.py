@@ -161,8 +161,10 @@ def test_l1_non_orthonormal_transform_solves_to_optimality():
     lam = 0.4
     post = _posterior(k, f, 0.8, make_l1_prior(lam, from_matrix(phi)))
     assert post.prior.prox_fn is None  # the prior saw a non-orthonormal Phi
-    res = solve_map(post, SolverOptions(tol_rel_change=1e-13, max_iters=20000))
+    opts = SolverOptions(tol_rel_change=1e-13, max_iters=20000)
+    res = solve_map(post, opts)
     assert res.converged
+    assert res.residual_norm <= opts.tol_residual
     eta = np.linalg.solve(phi.T, subgradient_certificate(post, res.estimate))
     coef = phi @ res.estimate
     zero = np.abs(coef) <= 1e-6 * np.abs(coef).max()

@@ -3,13 +3,15 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest
 
-from bregbayes.grids import Signal, grid1d
+from bregbayes.grids import Signal, grid1d, grid2d
 from bregbayes.model import GaussianNoiseModel, Posterior
-from bregbayes.operators import from_matrix, haar_transform, interval_average_1d
+from bregbayes.operators import (from_matrix, gaussian_blur, haar_transform,
+                                 interval_average_1d, sparse_columns)
 from bregbayes.priors import (make_besov_prior, make_gaussian_prior,
                               make_l1_prior, make_tv1d_prior)
-from bregbayes.sampling import (Chain, PiecewiseGaussian1D, _pg_draw_scalar,
-                                batch_means_stderr, load_chain, sample_gibbs,
+from bregbayes.sampling import (Chain, PiecewiseGaussian1D, _pg_draw,
+                                _pg_draw_scalar, _pg_table, batch_means_stderr,
+                                gibbs_layout, load_chain, sample_gibbs,
                                 sample_rwm, save_chain, summarize,
                                 two_chain_discrepancy)
 
@@ -70,6 +72,15 @@ def test_piecewise_gaussian_draws_pass_ks():
         assert kstest(draws, pg.cdf).pvalue > 1e-3
 
 
+def _batched_draw(a, b, kinks, u1, u2):
+    """The batched kernel at B = 1 for (weight, location) kinks."""
+    c = np.array([[c for c, _ in kinks]]).reshape(1, -1)
+    d = np.array([[d for _, d in kinks]]).reshape(1, -1)
+    table = _pg_table(np.array([a]), np.array([b]), c, d)
+    return float(_pg_draw(table, np.zeros(1, dtype=int), np.array([u1]),
+                          np.array([u2]))[0])
+
+
 def test_scalar_fast_path_matches_reference():
     rng = np.random.default_rng(17)
     for _ in range(200):
@@ -77,13 +88,32 @@ def test_scalar_fast_path_matches_reference():
         b = rng.uniform(-30, 30)
         kinks = sorted(((rng.uniform(0.0, 5.0), rng.uniform(-4, 4))
                         for _ in range(rng.integers(0, 4))), key=lambda cd: cd[1])
-        pg = PiecewiseGaussian1D(a, b, kinks)
         u1, u2 = rng.random(), rng.random()
-        p = pg._draw_piece(np.array([u1]))
-        z = pg._truncnorm_std(pg.alpha[p], pg.beta[p], np.array([u2]))
-        t_ref = float(np.clip(pg.mu[p] + pg.sigma * z, pg.lo[p], pg.hi[p])[0])
+        t_ref = _batched_draw(a, b, kinks, u1, u2)
         t_fast = _pg_draw_scalar(a, b, tuple(kinks), u1, u2)
         assert t_fast == pytest.approx(t_ref, abs=1e-12)
+
+
+def test_padded_kinks_draw_like_unpadded():
+    # weight-0 pads at the location of a real kink of the row add pieces
+    # of zero mass, so the same uniforms give the same draws
+    rng = np.random.default_rng(23)
+    n_rows, n_kinks, pad = 400, 2, 2
+    a = rng.uniform(0.05, 20.0, n_rows)
+    b = rng.uniform(-20, 20, n_rows)
+    c = rng.uniform(0.0, 5.0, (n_rows, n_kinks))
+    d = np.sort(rng.uniform(-3, 3, (n_rows, n_kinks)), axis=1)
+    u1, u2 = rng.random(n_rows), rng.random(n_rows)
+    rows = np.arange(n_rows)
+    plain = _pg_draw(_pg_table(a, b, c, d), rows, u1, u2)
+    at = rng.integers(0, n_kinks, (n_rows, pad))
+    c_pad = np.concatenate([c, np.zeros((n_rows, pad))], axis=1)
+    d_pad = np.concatenate([d, np.take_along_axis(d, at, axis=1)], axis=1)
+    by_location = np.argsort(d_pad, axis=1, kind="stable")
+    c_pad = np.take_along_axis(c_pad, by_location, axis=1)
+    d_pad = np.take_along_axis(d_pad, by_location, axis=1)
+    padded = _pg_draw(_pg_table(a, b, c_pad, d_pad), rows, u1, u2)
+    np.testing.assert_allclose(padded, plain, rtol=0, atol=1e-12)
 
 
 def test_piecewise_gaussian_rejects_nonnormalizable():
@@ -159,6 +189,132 @@ def test_gibbs_rejects_zero_column():
     post = _post(k, [1.0, 0.0], 1.0, make_l1_prior(0.5))
     with pytest.raises(ValueError):
         sample_gibbs(post, 10)
+
+
+# -- chromatic sweep -----------------------------------------------------------
+
+
+def _classes(post):
+    layout = gibbs_layout(post)
+    return np.split(layout.order, layout.bounds[1:-1])
+
+
+def _assert_independent_classes(post, coupled=None):
+    """The colour classes partition the coordinates into independent sets:
+    no shared data row and no prior coupling (``coupled[i, j]``)."""
+    classes = _classes(post)
+    np.testing.assert_array_equal(np.sort(np.concatenate(classes)),
+                                  np.arange(post.dim))
+    cols = sparse_columns(post.operator)
+    for members in classes:
+        rows = np.concatenate([cols[i][0] for i in members])
+        assert np.unique(rows).size == rows.size
+        if coupled is not None:
+            block = coupled[np.ix_(members, members)]
+            assert not np.any(block & ~np.eye(members.size, dtype=bool))
+    return classes
+
+
+def test_colour_classes_of_2d_blur():
+    grid = grid2d(64)
+    k = gaussian_blur(grid, 0.015)  # kernel radius 4 pixels
+    post = Posterior(k, Signal(grid, np.zeros(grid.size)),
+                     GaussianNoiseModel.from_sigma(0.1, grid.size),
+                     make_l1_prior(6.0))
+    classes = _assert_independent_classes(post)
+    assert len(classes) == 81  # the (2 * 4 + 1)^2 lattice colouring
+
+
+def test_colour_classes_of_tv1d():
+    n = 63
+    k = interval_average_1d(grid1d(n), 30)
+    post = Posterior(k, Signal(grid1d(30), np.zeros(30)),
+                     GaussianNoiseModel.from_sigma(0.1, 30),
+                     make_tv1d_prior(2.0))
+    edges = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) == 1
+    classes = _assert_independent_classes(post, edges)
+    assert max(c.size for c in classes) > 1
+    # with K = I only the TV edges conflict: even and odd pixels
+    post = _post(np.eye(8), np.zeros(8), 1.0, make_tv1d_prior(2.0))
+    classes = _assert_independent_classes(post, edges[:8, :8])
+    assert [c.tolist() for c in classes] == [[0, 2, 4, 6], [1, 3, 5, 7]]
+
+
+def test_colour_classes_of_dense_gaussian_are_singletons():
+    rng = np.random.default_rng(8)
+    n = 10
+    l_mat = rng.standard_normal((n, n)) + 3 * np.eye(n)
+    post = _post(np.eye(n), np.zeros(n), 1.0,
+                 make_gaussian_prior(1.0, 1.0, l_mat))
+    classes = _assert_independent_classes(post, l_mat.T @ l_mat != 0)
+    # greedy colouring in index order: singletons in index order
+    assert [c.tolist() for c in classes] == [[i] for i in range(n)]
+
+
+def test_chromatic_l1_blocks_match_quadrature_cm():
+    # two independent 2-pixel blocks: classes {0, 2} and {1, 3}
+    blk = np.array([[1.0, 0.6], [0.4, 1.0]])
+    k = np.kron(np.eye(2), blk)
+    f = np.array([1.5, -0.3, 0.2, 0.9])
+    sigma, lam = 0.7, 0.8
+    post = _post(k, f, sigma, make_l1_prior(lam))
+    assert [c.tolist() for c in _classes(post)] == [[0, 2], [1, 3]]
+    t = np.linspace(-8.0, 8.0, 1601)  # 0 is a node, so the kinks are too
+    x, y = np.meshgrid(t, t, indexing="ij")
+    cm = np.empty(4)
+    for j in (0, 2):
+        r = f[j:j + 2, None, None] - np.tensordot(blk, np.stack([x, y]), 1)
+        dens = np.exp(-0.5 * (r**2).sum(axis=0) / sigma**2
+                      - lam * (np.abs(x) + np.abs(y)))
+        cm[j] = (x * dens).sum() / dens.sum()
+        cm[j + 1] = (y * dens).sum() / dens.sum()
+    chain = sample_gibbs(post, 10000, burn_in=200, seed=29)
+    s = summarize(chain, post.prior)
+    assert np.all(np.abs(s.mean - cm) <= 3 * s.stderr)
+
+
+def test_chromatic_tv_ends_match_quadrature_cm():
+    # K = I, n = 3: the class {0, 2} holds both ends, each with a padded kink
+    f = np.array([1.0, -0.5, 0.8])
+    sigma, lam = 0.7, 1.2
+    post = _post(np.eye(3), f, sigma, make_tv1d_prior(lam))
+    assert [c.tolist() for c in _classes(post)] == [[0, 2], [1]]
+    # given u_1 the ends are independent, so the CM needs 1-D integrals
+    # only; a shared grid puts every kink |u_1 - t| on a node
+    t = np.linspace(-6.0, 6.0, 1601)
+    kink = np.exp(-lam * np.abs(np.subtract.outer(t, t)))  # [u_1, t]
+    lik = lambda j, x: np.exp(-0.5 * (f[j] - x) ** 2 / sigma**2)
+    ends = [kink @ lik(j, t) for j in (0, 2)]  # A_j(u_1)
+    ends_t = [kink @ (t * lik(j, t)) for j in (0, 2)]  # B_j(u_1)
+    w = lik(1, t)
+    z = (w * ends[0] * ends[1]).sum()
+    cm = np.array([(w * ends_t[0] * ends[1]).sum(),
+                   (t * w * ends[0] * ends[1]).sum(),
+                   (w * ends[0] * ends_t[1]).sum()]) / z
+    chain = sample_gibbs(post, 10000, burn_in=200, seed=43)
+    s = summarize(chain, post.prior)
+    assert np.all(np.abs(s.mean - cm) <= 3 * s.stderr)
+
+
+def test_chromatic_gaussian_identity_l_closed_form():
+    # L = None on a 1-D blur: classes of several members, no dense L
+    n = 32
+    k = gaussian_blur(grid1d(n), 0.015)
+    rng = np.random.default_rng(31)
+    f = k.apply(np.sin(np.linspace(0, 3, n))) + 0.5 * rng.standard_normal(n)
+    sigma, beta = 0.5, 2.0
+    post = Posterior(k, Signal(grid1d(n), f),
+                     GaussianNoiseModel.from_sigma(sigma, n),
+                     make_gaussian_prior(1.0, beta))
+    assert max(c.size for c in _classes(post)) > 1
+    kd = np.column_stack([k.apply(e) for e in np.eye(n)])
+    cov = np.linalg.inv(kd.T @ kd / sigma**2 + beta * np.eye(n))
+    mean_true = cov @ (kd.T @ f / sigma**2)
+    chain = sample_gibbs(post, 10000, burn_in=200, seed=37)
+    s = summarize(chain, post.prior)
+    assert np.all(np.abs(s.mean - mean_true) <= 3 * s.stderr)
+    np.testing.assert_allclose(chain.samples.var(axis=0), np.diag(cov),
+                               rtol=0.10)
 
 
 # -- random walk Metropolis ----------------------------------------------------
