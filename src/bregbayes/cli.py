@@ -142,6 +142,7 @@ def _estimate_core(cfg, writer, want_map=True, want_cm=True, verify=False):
         writer.artifacts.append({"path": "map_trace.csv", "kind": "trace_csv"})
         writer.json({"lambda": record.lam,
                      "iterations": record.map_result.iterations,
+                     "cg_iterations": record.map_result.cg_iterations,
                      "converged": record.map_result.converged,
                      "final_energy": record.map_result.final_energy,
                      "optimality_residual": record.map_result.residual_norm},

@@ -535,6 +535,7 @@ def run_experiment(cfg: ScenarioConfig, verify: bool = False,
                                - map_result.estimate.min()),
         "prior_energy_map": prior.energy(map_result.estimate),
         "map_iterations": map_result.iterations,
+        "map_cg_iterations": map_result.cg_iterations,
         "map_optimality_residual": map_result.residual_norm,
     }
     if not with_cm:

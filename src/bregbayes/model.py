@@ -11,7 +11,7 @@ energy differences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -22,15 +22,14 @@ from .priors import Prior
 
 @dataclass(frozen=True)
 class GaussianNoiseModel:
-    """Zero-mean Gaussian noise with diagonal precision (default sigma^2 I).
+    """Zero-mean Gaussian noise with diagonal precision (default sigma^-2 I).
 
-    A general SPD precision can be supplied as an apply callback; it is
-    accepted but exercised only through adjoint-consistency checks.
+    The precision is diagonal only: the samplers' conditionals, the exact
+    MAP u-steps and the cached Bayes costs all rely on it.
     """
 
     precision_diag: np.ndarray = field(repr=False)
     sigma: Optional[float] = None
-    precision_apply: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         diag = np.asarray(self.precision_diag, dtype=np.float64).reshape(-1).copy()
@@ -55,8 +54,6 @@ class GaussianNoiseModel:
         return self.precision_diag.size
 
     def apply_precision(self, y: np.ndarray) -> np.ndarray:
-        if self.precision_apply is not None:
-            return self.precision_apply(y)
         return self.precision_diag * y
 
 

@@ -2,8 +2,9 @@
 
 Every operator carries an explicit adjoint. Adjoints are exact transposes
 of the assembled action, so randomized probe tests hold at tight
-tolerances rather than only asymptotically. Radon is an assembled sparse
-matrix; the blur and Haar are matrix-free.
+tolerances rather than only asymptotically. Radon and the interval
+average are assembled sparse matrices; the blur applies as a separable
+convolution and builds its columns only on demand; Haar is matrix-free.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ class LinearOperator:
     ``matrix`` is the assembled sparse matrix behind ``apply`` and
     ``adjoint_apply`` when there is one (no explicit zeros); callers still
     go through ``apply``, and :func:`sparse_columns` reads its columns.
+    ``columns`` builds the column structure on demand for an operator
+    that keeps no matrix, so no long-lived copy exists. ``dct_eigenvalues``
+    s, shaped like the grid, mean K = C^T diag(s) C with C the orthonormal
+    n-D DCT-II.
     """
 
     in_dim: int
@@ -36,6 +41,10 @@ class LinearOperator:
     name: str = "operator"
     matrix: Optional[sp.csc_array] = field(default=None, repr=False,
                                            compare=False)
+    columns: Optional[Callable[[], list[tuple[np.ndarray, np.ndarray]]]] = \
+        field(default=None, repr=False, compare=False)
+    dct_eigenvalues: Optional[np.ndarray] = field(default=None, repr=False,
+                                                  compare=False)
 
     def __post_init__(self):
         if self.in_dim <= 0 or self.out_dim <= 0:
@@ -88,9 +97,10 @@ def compose(outer: LinearOperator, inner: LinearOperator) -> LinearOperator:
 def sparse_columns(op: LinearOperator) -> list[tuple[np.ndarray, np.ndarray]]:
     """Column sparsity of K: one (indices, values) pair per input coordinate.
 
-    Read from the assembled matrix when the operator has one, otherwise
-    probed with unit vectors. Used by the samplers for incremental
-    residual updates.
+    Read from the assembled matrix, or built by the operator's own
+    ``columns``, when it has either; otherwise probed with unit vectors.
+    Used by the samplers for incremental residual updates and by the
+    banded TV u-step.
     """
     if op.matrix is not None:
         csc = op.matrix.tocsc()
@@ -98,6 +108,8 @@ def sparse_columns(op: LinearOperator) -> list[tuple[np.ndarray, np.ndarray]]:
         ptr = csc.indptr
         return [(rows[ptr[i]:ptr[i + 1]], csc.data[ptr[i]:ptr[i + 1]])
                 for i in range(op.in_dim)]
+    if op.columns is not None:
+        return op.columns()
     cols = []
     e = np.zeros(op.in_dim)
     for i in range(op.in_dim):
@@ -122,19 +134,70 @@ def _gaussian_kernel(sigma_phys: float, h: float) -> np.ndarray:
     return k / k.sum()
 
 
+def _reflective_columns(kernel: np.ndarray,
+                        n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Columns of the n x n matrix of ``convolve1d(., kernel, "reflect")``.
+
+    The matrix is symmetric, so column j is row j: the kernel laid over
+    j, its indices off the grid folded back half-sample symmetrically
+    (repeatedly for a kernel longer than the grid), folded duplicates
+    summed; rows come sorted.
+    """
+    r = kernel.size // 2
+    cols = []
+    for j in range(n):
+        idx = np.arange(j - r, j + r + 1) % (2 * n)
+        rows, where = np.unique(np.where(idx >= n, 2 * n - 1 - idx, idx),
+                                return_inverse=True)
+        cols.append((rows, np.bincount(where, weights=kernel)))
+    return cols
+
+
+def _dct_eigenvalues(kernel: np.ndarray, n: int) -> np.ndarray:
+    """DCT-II eigenvalues of the reflective convolution, radius below n.
+
+    Each DCT-II basis vector cos(pi k (i + 1/2) / n) satisfies the
+    half-sample symmetric boundary, and a symmetric kernel maps it to
+    itself times its cosine transform at frequency pi k / n.
+    """
+    r = kernel.size // 2
+    freq = np.pi * np.arange(n) / n
+    return kernel[r] + 2.0 * np.cos(np.outer(freq, np.arange(1, r + 1))) \
+        @ kernel[r + 1:]
+
+
 def gaussian_blur(grid: Grid, kernel_sigma: float) -> LinearOperator:
     """Separable Gaussian convolution with reflective boundary handling.
 
     ``kernel_sigma`` is in physical units of the grid extent. The kernel is
     truncated at 4 sigma and renormalized; with the reflective (half-sample
     symmetric) boundary the resulting matrix is exactly symmetric, so the
-    operator is self-adjoint.
+    operator is self-adjoint. Its matrix is the Kronecker product of the
+    1-D reflective matrices, and ``columns`` builds its columns from
+    theirs. While the kernel radius is below every grid side, the
+    orthonormal DCT-II diagonalises it (``dct_eigenvalues``).
     """
     if kernel_sigma <= 0:
         raise ValueError(f"kernel_sigma must be positive, got {kernel_sigma}")
     shape = grid.shape
     widths = grid.cell_widths()
     kernels = [_gaussian_kernel(kernel_sigma, h) for h in widths]
+
+    def columns() -> list[tuple[np.ndarray, np.ndarray]]:
+        axes = [_reflective_columns(k, s) for k, s in zip(kernels, shape)]
+        if grid.dim == 1:
+            return axes[0]
+        # column (i, j) of kron(A0, A1) is the outer product of their columns
+        side = shape[1]
+        return [((r0[:, None] * side + r1).reshape(-1),
+                 np.outer(v0, v1).reshape(-1))
+                for r0, v0 in axes[0] for r1, v1 in axes[1]]
+
+    eig = None
+    if all(k.size // 2 < s for k, s in zip(kernels, shape)):
+        eig = _dct_eigenvalues(kernels[0], shape[0])
+        if grid.dim == 2:
+            eig = np.multiply.outer(eig, _dct_eigenvalues(kernels[1], shape[1]))
 
     if grid.dim == 1:
         k0 = kernels[0]
@@ -151,7 +214,8 @@ def gaussian_blur(grid: Grid, kernel_sigma: float) -> LinearOperator:
             return img.reshape(-1)
 
     n = grid.size
-    return LinearOperator(n, n, apply, apply, f"blur(sigma={kernel_sigma:g})")
+    return LinearOperator(n, n, apply, apply, f"blur(sigma={kernel_sigma:g})",
+                          columns=columns, dct_eigenvalues=eig)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +433,10 @@ def interval_average_1d(fine: Grid, num_intervals: int) -> LinearOperator:
 
     Unlike :func:`cell_average_restriction` the interval count need not
     divide the grid size; overlaps are weighted by intersection length.
+    The operator is assembled as one sparse matrix.
     """
+    import scipy.sparse as sp
+
     if fine.dim != 1:
         raise ValueError("interval_average_1d requires a 1D grid")
     if num_intervals <= 0:
@@ -379,10 +446,19 @@ def interval_average_1d(fine: Grid, num_intervals: int) -> LinearOperator:
     h = ext / n
     width = ext / num_intervals
     # overlap of cell i = [i h, (i+1) h) with interval j = [j w, (j+1) w)
-    a = np.empty((num_intervals, n))
     edges = np.arange(n + 1) * h
+    rows, cols, vals = [], [], []
     for j in range(num_intervals):
         lo, hi = j * width, (j + 1) * width
         overlap = np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo)
-        a[j] = np.clip(overlap, 0.0, None) / width
-    return from_matrix(a, f"interval_average({num_intervals})")
+        i = np.flatnonzero(overlap > 0.0)
+        rows.append(np.full(i.size, j))
+        cols.append(i)
+        vals.append(overlap[i] / width)
+    matrix = sp.csc_array((np.concatenate(vals),
+                           (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(num_intervals, n))
+    transpose = matrix.T
+    return LinearOperator(n, num_intervals, lambda u: matrix @ u,
+                          lambda v: transpose @ v,
+                          f"interval_average({num_intervals})", matrix)

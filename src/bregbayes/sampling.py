@@ -441,8 +441,6 @@ def gibbs_layout(post: Posterior) -> GibbsLayout:
                                      and prior.transform is not None):
         raise ValueError(f"sample_gibbs: unsupported prior structure "
                          f"'{kind}'")
-    if post.noise.precision_apply is not None:
-        raise ValueError("samplers support diagonal noise precision only")
     op = post.operator
     cols = sparse_columns(op)
     if kind == "tv1d":
@@ -625,8 +623,6 @@ class RwmLayout:
 
 
 def rwm_layout(post: Posterior) -> RwmLayout:
-    if post.noise.precision_apply is not None:
-        raise ValueError("samplers support diagonal noise precision only")
     prec = post.noise.precision_diag
     pcols = [(idx, vals, vals * prec[idx])
              for idx, vals in sparse_columns(post.operator)]

@@ -1,6 +1,11 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bregbayes.experiments as experiments
+from bregbayes.config import load_config
 from bregbayes.experiments import (ScenarioConfig, build_ct2d, build_deblur2d,
                                    build_indicator_1d, build_scenario,
                                    build_shepp_logan, build_spots_phantom,
@@ -9,7 +14,7 @@ from bregbayes.experiments import (ScenarioConfig, build_ct2d, build_deblur2d,
                                    run_dilemma_sweep, run_experiment,
                                    s_curve_select_lambda)
 from bregbayes.grids import Signal, grid1d, grid2d
-from bregbayes.map_solver import SolverOptions
+from bregbayes.map_solver import SolverOptions, solve_map
 from bregbayes.model import GaussianNoiseModel, Posterior
 from bregbayes.operators import from_matrix, identity
 from bregbayes.priors import make_l1_prior
@@ -276,3 +281,47 @@ def test_run_dilemma_sweep_small():
     rep2 = run_dilemma_sweep(cfg, "fixed")
     assert all(lv.lam == 2.0 for lv in rep2.levels)
     assert all(np.isfinite(lv.tv_cm) for lv in rep2.levels)
+
+
+# -- MAP u-step structure ------------------------------------------------------
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _captured_solves(monkeypatch):
+    results = []
+
+    def solve(post, opts=None):
+        results.append(solve_map(post, opts))
+        return results[-1]
+
+    monkeypatch.setattr(experiments, "solve_map", solve)
+    return results
+
+
+def test_bundled_blur_and_tv_map_solves_run_no_cg(monkeypatch):
+    # the reflective blur with pixel l1 and every TV posterior of the
+    # dilemma sweep take exact u-steps
+    solves = _captured_solves(monkeypatch)
+    cfg, _ = load_config(CONFIGS / "deblur2d.ini")
+    record = run_experiment(cfg, with_cm=False)
+    assert record.metrics["map_cg_iterations"] == 0
+    cfg, _ = load_config(CONFIGS / "tv1d.ini")
+    cfg = dataclasses.replace(cfg, sweep=(63, 255, 1023))
+    for rule in ("sqrt_n", "fixed"):
+        run_dilemma_sweep(cfg, rule, with_cm=False)
+    assert len(solves) == 7
+    assert all(r.converged and r.cg_iterations == 0 for r in solves)
+
+
+def test_radon_besov_map_solve_runs_cg():
+    # a few outer iterations suffice to see the u-step run CG
+    cfg = ScenarioConfig(name="ct2d", recon_shape=(16, 16), truth_factor=2,
+                         noise_fraction=0.02, lam=0.5, lambda_rule="fixed",
+                         angles=7, bins=23, seed=4,
+                         solver=SolverOptions(max_iters=20))
+    with pytest.warns(UserWarning, match="no convergence"):
+        record = run_experiment(cfg, with_cm=False)
+    assert record.map_result.cg_iterations > 0
+    assert record.metrics["map_cg_iterations"] == record.map_result.cg_iterations

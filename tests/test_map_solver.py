@@ -4,11 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from bregbayes.grids import Signal, grid1d
-from bregbayes.map_solver import (MapResult, SolverOptions, optimality_residual,
-                                  solve_map, subgradient_certificate)
+from bregbayes.grids import Signal, grid1d, grid2d
+from bregbayes.map_solver import (MapResult, SolverOptions, _banded_tv_solver,
+                                  optimality_residual, solve_map,
+                                  subgradient_certificate)
 from bregbayes.model import GaussianNoiseModel, Posterior, neg_log_posterior
-from bregbayes.operators import from_matrix, haar_transform
+from bregbayes.operators import (from_matrix, gaussian_blur, haar_transform,
+                                 interval_average_1d)
 from bregbayes.priors import (make_besov_prior, make_gaussian_prior,
                               make_l1_prior, make_tv1d_prior)
 
@@ -171,6 +173,72 @@ def test_l1_non_orthonormal_transform_solves_to_optimality():
     assert zero.any() and not zero.all()
     np.testing.assert_allclose(eta[~zero], np.sign(coef[~zero]), atol=1e-6)
     assert np.all(np.abs(eta[zero]) <= 1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("case", ["interval_average_255", "dense_12"])
+def test_banded_tv_u_step_matches_dense_solve(case):
+    # (K^T P K + mu D^T D) u = rhs, banded factor against a dense solve,
+    # with a non-constant noise precision
+    rng = np.random.default_rng(41)
+    if case == "dense_12":
+        n, m = 12, 9
+        k = from_matrix(rng.standard_normal((m, n)))
+    else:
+        n, m = 255, 30
+        k = interval_average_1d(grid1d(n), m)
+    prec = rng.uniform(50.0, 150.0, m)
+    post = Posterior(k, Signal(grid1d(m), np.zeros(m)),
+                     GaussianNoiseModel.from_precision_diag(prec),
+                     make_tv1d_prior(0.3))
+    mu = 3.0
+    kd = np.column_stack([k.apply(e) for e in np.eye(n)])
+    dd = np.diff(np.eye(n), axis=0)
+    a = kd.T @ (prec[:, None] * kd) + mu * dd.T @ dd
+    rhs = rng.standard_normal(n)
+    dense = np.linalg.solve(a, rhs)
+    banded = _banded_tv_solver(post, mu)(rhs)
+    assert np.abs(banded - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_tv_with_operator_annihilating_constants_is_refused():
+    # K = D maps constants to zero, so the TV MAP is not unique and
+    # K^T K + mu D^T D has no Cholesky factor
+    n = 6
+    post = _posterior(np.diff(np.eye(n), axis=0), np.ones(n - 1), 1.0,
+                      make_tv1d_prior(0.2))
+    with pytest.raises(ValueError, match="not unique"):
+        solve_map(post)
+
+
+def _blur_posterior(grid, sigma_kernel, lam, rng):
+    k = gaussian_blur(grid, sigma_kernel)
+    truth = np.zeros(grid.size)
+    truth[rng.choice(grid.size, 5, replace=False)] = 1.0
+    f = k.apply(truth) + 0.02 * rng.standard_normal(grid.size)
+    return Posterior(k, Signal(grid, f),
+                     GaussianNoiseModel.from_sigma(0.02, grid.size),
+                     make_l1_prior(lam))
+
+
+def test_blur_u_step_exact_by_dct_agrees_with_cg():
+    post = _blur_posterior(grid2d(16, 12), 0.05, 0.5, np.random.default_rng(42))
+    opts = SolverOptions(penalty=1e3, tol_rel_change=1e-12, max_iters=5000)
+    exact = solve_map(post, opts)
+    op = dataclasses.replace(post.operator, dct_eigenvalues=None)
+    by_cg = solve_map(dataclasses.replace(post, operator=op), opts)
+    assert exact.converged and by_cg.converged
+    assert exact.cg_iterations == 0 and by_cg.cg_iterations > 0
+    scale = np.abs(by_cg.estimate).max()
+    assert np.abs(exact.estimate - by_cg.estimate).max() <= 1e-7 * scale
+
+
+def test_blur_wider_than_the_grid_solves_by_cg():
+    post = _blur_posterior(grid2d(8, 8), 0.3, 0.5, np.random.default_rng(43))
+    assert post.operator.dct_eigenvalues is None
+    res = solve_map(post, SolverOptions(max_iters=5000))
+    assert res.converged
+    assert res.cg_iterations > 0
+    assert res.residual_norm <= 1e-6
 
 
 def test_monotone_energy_decrease():

@@ -44,19 +44,12 @@ def test_weighted_sq_norm_quadratic_form_properties():
         assert weighted_sq_norm(y, noise) > 0 or np.all(y == 0)
 
 
-def test_general_precision_callback_adjointness():
-    # user-supplied SPD precision: accepted, exercised via the quadratic form
+def test_noise_model_rejects_precision_callback():
+    # the precision is diagonal only; a general SPD callback is no argument
     a = RNG.standard_normal((4, 4))
     spd = a @ a.T + 4 * np.eye(4)
-    noise = GaussianNoiseModel(np.ones(4), precision_apply=lambda y: spd @ y)
-    for _ in range(10):
-        y, z = RNG.standard_normal(4), RNG.standard_normal(4)
-        # symmetry of the induced bilinear form
-        lhs = (y + z) @ noise.apply_precision(y + z)
-        rhs = (y @ noise.apply_precision(y) + 2 * z @ noise.apply_precision(y)
-               + z @ noise.apply_precision(z))
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-        assert weighted_sq_norm(y, noise) > 0 or np.all(y == 0)
+    with pytest.raises(TypeError, match="precision_apply"):
+        GaussianNoiseModel(np.ones(4), precision_apply=lambda y: spd @ y)
 
 
 def test_noise_model_validation():

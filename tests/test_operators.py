@@ -177,6 +177,48 @@ def test_radon_sparse_columns_match_probed_columns():
         np.testing.assert_array_equal(vals_r, vals_p)
 
 
+@pytest.mark.parametrize("op", [
+    gaussian_blur(grid2d(12, 12), 0.04),
+    gaussian_blur(grid2d(10, 6), 0.06),
+    gaussian_blur(grid1d(8), 0.3),  # kernel radius 10 > side: folds twice
+    interval_average_1d(grid1d(13), 5),
+    interval_average_1d(grid1d(255), 30),
+], ids=["blur12x12", "blur10x6", "blur1d-long-kernel", "avg13", "avg255"])
+def test_assembled_sparse_columns_match_probed_columns(op):
+    read = sparse_columns(op)
+    probed = sparse_columns(dataclasses.replace(op, matrix=None, columns=None))
+    assert len(read) == len(probed) == op.in_dim
+    for (idx_r, vals_r), (idx_p, vals_p) in zip(read, probed):
+        np.testing.assert_array_equal(idx_r, idx_p)
+        np.testing.assert_allclose(vals_r, vals_p, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("grid", [grid2d(32, 32), grid2d(64, 48), grid1d(100)],
+                         ids=["32x32", "64x48", "1d"])
+def test_blur_dct_eigenvalues_reproduce_the_blur(grid):
+    from scipy.fft import dctn, idctn
+
+    op = gaussian_blur(grid, 0.03)
+    s = op.dct_eigenvalues
+    assert s.shape == grid.shape
+    rng = np.random.default_rng(44)
+    for _ in range(3):
+        u = rng.standard_normal(grid.size)
+        via_dct = idctn(s * dctn(u.reshape(grid.shape), norm="ortho"),
+                        norm="ortho").reshape(-1)
+        np.testing.assert_allclose(via_dct, op.apply(u), rtol=0, atol=1e-13)
+
+
+def test_blur_wider_than_the_grid_has_no_dct_eigenvalues():
+    # the radius is ceil(4 sigma side) on the unit interval: 8 at side 8
+    # and sigma 0.25, 7 at sigma 0.2; on 32 x 4 only the short side is
+    # too small (26 < 32, 4 >= 4)
+    assert gaussian_blur(grid1d(8), 0.25).dct_eigenvalues is None
+    assert gaussian_blur(grid1d(8), 0.2).dct_eigenvalues is not None
+    assert gaussian_blur(grid2d(8, 8), 0.3).dct_eigenvalues is None
+    assert gaussian_blur(grid2d(32, 4), 0.2).dct_eigenvalues is None
+
+
 def test_radon_validation():
     with pytest.raises(ValueError):
         radon(grid1d(8), 4, 4)
