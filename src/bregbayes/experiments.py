@@ -248,12 +248,16 @@ def s_curve_select_lambda(posterior_factory: Callable[[float], Posterior],
                           bracket: tuple[float, float],
                           tol: float = 0.02,
                           solver: Optional[SolverOptions] = None,
-                          max_steps: int = 40) -> float:
+                          max_steps: int = 40) -> tuple[float, list[dict]]:
     """Bisection on lambda until the MAP coefficient sparsity hits the target.
 
-    Sparsity must be monotone non-increasing in lambda across the bracket
-    (checked on the endpoints); raises when the bracket does not straddle
-    the target.
+    Returns lambda and the evaluated solves ``{lambda, sparsity,
+    iterations, converged}`` in evaluation order. The midpoints depend
+    only on how each midpoint's sparsity compares with the target, so
+    the bracket ends are solved only when no midpoint comes within
+    ``tol``; raises when they do not straddle the target, when the
+    evaluated sparsities are not non-increasing in lambda, or when a
+    solve does not converge.
     """
     if not 0.0 < target_sparsity < 1.0:
         raise ValueError("target sparsity must be in (0, 1)")
@@ -261,32 +265,44 @@ def s_curve_select_lambda(posterior_factory: Callable[[float], Posterior],
     if not 0 < lo < hi:
         raise ValueError("bad bracket")
     solver = solver or SolverOptions(tol_rel_change=1e-6, max_iters=400)
+    evaluated: list[dict] = []
 
     def sparsity_at(lam: float) -> float:
         post = posterior_factory(lam)
         res = solve_map(post, solver)
-        return map_sparsity(post, res)
+        if not res.converged:
+            raise ValueError(f"s-curve solve at lambda {lam:.6g} did not "
+                             f"converge within {res.iterations} iterations "
+                             f"(residual {res.residual_norm:.3e})")
+        s = map_sparsity(post, res)
+        evaluated.append({"lambda": lam, "sparsity": s,
+                          "iterations": res.iterations,
+                          "converged": res.converged})
+        curve = sorted((e["lambda"], e["sparsity"]) for e in evaluated)
+        if any(s2 > s1 for (_, s1), (_, s2) in zip(curve, curve[1:])):
+            pairs = ", ".join(f"{x:.6g} -> {y:.4f}" for x, y in curve)
+            raise ValueError(f"sparsity is not non-increasing in lambda: "
+                             f"{pairs}")
+        return s
 
-    s_lo = sparsity_at(lo)
-    s_hi = sparsity_at(hi)
-    if s_lo < s_hi:
-        raise ValueError("sparsity is not non-increasing across the bracket")
-    if not (s_hi <= target_sparsity <= s_lo):
-        raise ValueError(
-            f"bracket sparsities [{s_hi:.3f}, {s_lo:.3f}] do not straddle "
-            f"target {target_sparsity:.3f}")
     for _ in range(max_steps):
         mid = math.sqrt(lo * hi)  # bisection in log lambda
         s_mid = sparsity_at(mid)
         if abs(s_mid - target_sparsity) <= tol:
-            return mid
+            return mid, evaluated
         if s_mid > target_sparsity:
             lo = mid
         else:
             hi = mid
         if hi / lo < 1.0 + 1e-3:
             break
-    return math.sqrt(lo * hi)
+    s_lo = sparsity_at(bracket[0])
+    s_hi = sparsity_at(bracket[1])
+    if not (s_hi <= target_sparsity <= s_lo):
+        raise ValueError(
+            f"bracket sparsities [{s_hi:.3f}, {s_lo:.3f}] do not straddle "
+            f"target {target_sparsity:.3f}")
+    return math.sqrt(lo * hi), evaluated
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +425,13 @@ class ExperimentRecord:
 
 
 def resolve_lambda(cfg: ScenarioConfig, parts: ScenarioParts,
-                   data: GeneratedData) -> float:
+                   data: GeneratedData) -> tuple[float, list[dict]]:
+    """lambda under the config's rule, and the s-curve search's solves
+    (empty for the fixed and sqrt rules)."""
     if cfg.lambda_rule == "fixed":
-        return float(cfg.lam)
+        return float(cfg.lam), []
     if cfg.lambda_rule == "sqrt_n":
-        return lambda_sqrt_rule(parts.recon_grid.size, cfg.rule_constant)
+        return lambda_sqrt_rule(parts.recon_grid.size, cfg.rule_constant), []
     # s_curve: match the truth's coefficient sparsity
     noise = GaussianNoiseModel.from_sigma(data.sigma, parts.data_grid.size)
 
@@ -522,7 +540,7 @@ def run_experiment(cfg: ScenarioConfig, verify: bool = False,
             raise AssertionError("data and reconstruction share a grid")
     data = generate_data(parts.truth_fine, parts.forward_fine, parts.restrict,
                          cfg.noise_fraction, cfg.seed, parts.data_grid)
-    lam = resolve_lambda(cfg, parts, data)
+    lam, search = resolve_lambda(cfg, parts, data)
     post = assemble_posterior(parts, data, lam)
     map_result = solve_map(post, scenario_solver_options(cfg, lam, post))
     truth = parts.truth_on_recon.values
@@ -537,6 +555,8 @@ def run_experiment(cfg: ScenarioConfig, verify: bool = False,
         "map_iterations": map_result.iterations,
         "map_cg_iterations": map_result.cg_iterations,
         "map_optimality_residual": map_result.residual_norm,
+        "map_converged": map_result.converged,
+        "lambda_search": search,
     }
     if not with_cm:
         return ExperimentRecord(cfg, parts, data, lam, post, map_result, [],

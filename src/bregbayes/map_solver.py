@@ -18,7 +18,7 @@ which must lie in the subdifferential of J at the estimate.
 from __future__ import annotations
 
 import csv
-import warnings
+import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional
@@ -29,6 +29,8 @@ from . import model as _model
 from .model import Posterior
 from .operators import sparse_columns
 from .priors import Prior, forward_differences
+
+_log = logging.getLogger(__name__)
 
 # relative cutoff separating zero from active coefficients in the
 # subdifferential test; coarser than machine-level so solver ripple on
@@ -80,8 +82,8 @@ def _cg(apply_a: Callable, rhs: np.ndarray, x0: np.ndarray, tol: float,
         max_iters: int) -> tuple[np.ndarray, int]:
     """Conjugate gradients for SPD apply_a.
 
-    Warns on near-singular curvature, which signals a large null-space
-    component in the normal operator.
+    Logs a warning on near-singular curvature, which signals a large
+    null-space component in the normal operator.
     """
     x = x0.copy()
     r = rhs - apply_a(x)
@@ -94,8 +96,8 @@ def _cg(apply_a: Callable, rhs: np.ndarray, x0: np.ndarray, tol: float,
         ap = apply_a(p)
         curv = float(p @ ap)
         if curv <= 1e-14 * float(p @ p):
-            warnings.warn("CG detected near-singular curvature; the minimizer "
-                          "may have a large null-space component")
+            _log.warning("CG detected near-singular curvature; the "
+                         "minimizer may have a large null-space component")
             return x, it
         alpha = rr / curv
         x += alpha * p
@@ -193,8 +195,8 @@ def solve_map(post: Posterior, opts: Optional[SolverOptions] = None) -> MapResul
     Gaussian priors go through a single CG solve of the normal equations;
     all other priors run the alternating splitting scheme, with an exact
     u-step where :func:`_exact_u_step` finds one. Non-convergence
-    within ``max_iters`` is reported via ``converged=False`` with the
-    result still returned.
+    within ``max_iters`` is reported via ``converged=False`` and a logged
+    warning, with the result still returned.
     """
     opts = opts or SolverOptions()
     k = post.operator
@@ -299,8 +301,8 @@ def solve_map(post: Posterior, opts: Optional[SolverOptions] = None) -> MapResul
                 break
 
     if not converged:
-        warnings.warn(f"solve_map: no convergence within {opts.max_iters} "
-                      f"iterations (last residual {residual:.3e})")
+        _log.warning("solve_map: no convergence within %d iterations "
+                     "(last residual %.3e)", opts.max_iters, residual)
     result = MapResult(u_best, subgradient_certificate(post, u_best), it, e_best,
                        0.0, converged, np.asarray(energies),
                        split_coefficients=d.copy(), cg_iterations=cg_iterations)

@@ -2,14 +2,16 @@
 
 Every operator carries an explicit adjoint. Adjoints are exact transposes
 of the assembled action, so randomized probe tests hold at tight
-tolerances rather than only asymptotically. Radon and the interval
-average are assembled sparse matrices; the blur applies as a separable
-convolution and builds its columns only on demand; Haar is matrix-free.
+tolerances rather than only asymptotically. Radon, Haar and the
+interval average are assembled sparse matrices, applied as ``matrix @ u``
+and ``matrix.T @ v``; the blur applies as a separable convolution and
+builds its columns only on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -289,7 +291,19 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-_SQRT2 = np.sqrt(2.0)
+def _haar_step(side: int, m: int) -> sp.csr_array:
+    """One unnormalised Haar step on the first m of ``side`` entries.
+
+    Pair sums e_2k + e_2k+1 fill rows 0..m/2-1 and pair differences
+    e_2k - e_2k+1 rows m/2..m-1; rows from m on are zero.
+    """
+    import scipy.sparse as sp
+
+    k = np.arange(m // 2)
+    rows = np.concatenate([k, k, k + m // 2, k + m // 2])
+    cols = np.concatenate([2 * k, 2 * k + 1, 2 * k, 2 * k + 1])
+    vals = np.repeat([1.0, 1.0, 1.0, -1.0], m // 2)
+    return sp.csr_array((vals, (rows, cols)), shape=(side, side))
 
 
 def haar_transform(grid: Grid, levels: int | None = None) -> LinearOperator:
@@ -297,8 +311,13 @@ def haar_transform(grid: Grid, levels: int | None = None) -> LinearOperator:
 
     Requires every grid side to be a power of two. Coefficient layout:
     final approximation block first, then detail blocks from coarsest to
-    finest (2D: LH, HL, HH per level).
+    finest (2D: LH, HL, HH per level). The operator is one CSC matrix,
+    the product of one factor per level: level l maps the top-left block
+    of sides ``side >> l`` by the Kronecker product of the 1-D steps,
+    scaled by 2^(-dim/2), and leaves every entry outside it unchanged.
     """
+    import scipy.sparse as sp
+
     sides = grid.shape
     for s in sides:
         if not _is_pow2(s):
@@ -310,74 +329,21 @@ def haar_transform(grid: Grid, levels: int | None = None) -> LinearOperator:
     if not 1 <= levels <= max_levels:
         raise ValueError(f"levels must be in [1, {max_levels}], got {levels}")
     n = grid.size
-
-    if grid.dim == 1:
-
-        def apply(u: np.ndarray) -> np.ndarray:
-            out = u.copy()
-            m = n
-            for _ in range(levels):
-                a = out[:m]
-                s = (a[0::2] + a[1::2]) / _SQRT2
-                d = (a[0::2] - a[1::2]) / _SQRT2
-                out[: m // 2] = s
-                out[m // 2 : m] = d
-                m //= 2
-            return out
-
-        def adjoint_apply(c: np.ndarray) -> np.ndarray:
-            out = c.copy()
-            m = n >> levels
-            for _ in range(levels):
-                s = out[:m].copy()
-                d = out[m : 2 * m].copy()
-                out[0 : 2 * m : 2] = (s + d) / _SQRT2
-                out[1 : 2 * m : 2] = (s - d) / _SQRT2
-                m *= 2
-            return out
-
-    else:
-        rows, cols = sides
-
-        def _fwd_step(block: np.ndarray) -> np.ndarray:
-            lo = (block[:, 0::2] + block[:, 1::2]) / _SQRT2
-            hi = (block[:, 0::2] - block[:, 1::2]) / _SQRT2
-            block = np.hstack([lo, hi])
-            lo = (block[0::2, :] + block[1::2, :]) / _SQRT2
-            hi = (block[0::2, :] - block[1::2, :]) / _SQRT2
-            return np.vstack([lo, hi])
-
-        def _inv_step(block: np.ndarray) -> np.ndarray:
-            m = block.shape[0] // 2
-            out = np.empty_like(block)
-            out[0::2, :] = (block[:m, :] + block[m:, :]) / _SQRT2
-            out[1::2, :] = (block[:m, :] - block[m:, :]) / _SQRT2
-            m = block.shape[1] // 2
-            res = np.empty_like(out)
-            res[:, 0::2] = (out[:, :m] + out[:, m:]) / _SQRT2
-            res[:, 1::2] = (out[:, :m] - out[:, m:]) / _SQRT2
-            return res
-
-        def apply(u: np.ndarray) -> np.ndarray:
-            img = u.reshape(rows, cols).copy()
-            r, c = rows, cols
-            for _ in range(levels):
-                img[:r, :c] = _fwd_step(img[:r, :c])
-                r //= 2
-                c //= 2
-            return img.reshape(-1)
-
-        def adjoint_apply(coef: np.ndarray) -> np.ndarray:
-            img = coef.reshape(rows, cols).copy()
-            r = rows >> (levels - 1)
-            c = cols >> (levels - 1)
-            for _ in range(levels):
-                img[:r, :c] = _inv_step(img[:r, :c])
-                r *= 2
-                c *= 2
-            return img.reshape(-1)
-
-    return LinearOperator(n, n, apply, adjoint_apply, f"haar(levels={levels})")
+    scale = 2.0 ** (-grid.dim / 2)  # exactly 0.5 in 2D
+    matrix = sp.eye_array(n, format="csr")
+    for level in range(levels):
+        blocks = [s >> level for s in sides]
+        step = reduce(sp.kron,
+                      [_haar_step(s, b) for s, b in zip(sides, blocks)])
+        inside = reduce(np.multiply.outer,
+                        [np.arange(s) < b for s, b in zip(sides, blocks)])
+        keep = sp.diags_array((~inside).reshape(-1).astype(float))
+        matrix = (scale * step + keep) @ matrix
+    matrix = sp.csc_array(matrix)
+    matrix.eliminate_zeros()
+    transpose = matrix.T
+    return LinearOperator(n, n, lambda u: matrix @ u, lambda v: transpose @ v,
+                          f"haar(levels={levels})", matrix)
 
 
 # ---------------------------------------------------------------------------

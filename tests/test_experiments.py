@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -167,21 +168,29 @@ def test_s_curve_scalar_soft_threshold():
     assert coefficient_sparsity(factory(0.5).prior, res.estimate) == 1.0
 
 
-def test_s_curve_bisection_matches_target():
-    # 8-dim problem with a 3-sparse truth: ask for sparsity 3/8
+def _sparse_identity_factory(solved=None):
+    # 8-dim problem with a 3-sparse truth; the MAP soft-thresholds f at
+    # lambda, so its sparsity is the fraction of |f_i| above lambda
     rng = np.random.default_rng(4242)
     n = 8
-    k = np.eye(n)
     truth = np.zeros(n)
     truth[:3] = (3.0, -2.0, 1.5)
     f = truth + 0.05 * rng.standard_normal(n)
 
     def factory(lam):
-        return Posterior(from_matrix(k), Signal(grid1d(n), f),
+        if solved is not None:
+            solved.append(lam)
+        return Posterior(from_matrix(np.eye(n)), Signal(grid1d(n), f),
                          GaussianNoiseModel.from_sigma(1.0, n),
                          make_l1_prior(lam))
 
-    lam = s_curve_select_lambda(factory, 3.0 / 8.0, (1e-3, 10.0), tol=1e-6)
+    return factory
+
+
+def test_s_curve_bisection_matches_target():
+    # ask for sparsity 3/8
+    factory = _sparse_identity_factory()
+    lam, _ = s_curve_select_lambda(factory, 3.0 / 8.0, (1e-3, 10.0), tol=1e-6)
     from bregbayes.experiments import map_sparsity
     from bregbayes.map_solver import solve_map
 
@@ -199,6 +208,36 @@ def test_s_curve_rejects_bad_bracket():
     with pytest.raises(ValueError):
         # both ends above |f|: sparsity 0 at both, target 0.9 not straddled
         s_curve_select_lambda(factory, 0.9, (3.0, 10.0))
+
+
+def test_s_curve_solves_no_bracket_end_when_a_midpoint_meets_the_target():
+    solved = []
+    lam, evaluated = s_curve_select_lambda(_sparse_identity_factory(solved),
+                                           3.0 / 8.0, (1e-3, 10.0))
+    assert 1e-3 not in solved and 10.0 not in solved
+    assert [e["lambda"] for e in evaluated] == solved
+    assert lam == solved[-1]
+    assert evaluated[-1]["sparsity"] == pytest.approx(3.0 / 8.0)
+    assert all(e["converged"] and e["iterations"] > 0 for e in evaluated)
+
+
+def test_s_curve_rejects_an_unconverged_solve():
+    with pytest.raises(ValueError, match=r"lambda 0\.1 did not converge "
+                                         r"within 3 iterations \(residual"):
+        s_curve_select_lambda(_sparse_identity_factory(), 3.0 / 8.0,
+                              (1e-3, 10.0), solver=SolverOptions(max_iters=3))
+
+
+def test_s_curve_rejects_a_rising_sparsity(monkeypatch):
+    # sparsity 0.4 from lambda 0.5 on, 0.3 below: the first midpoint (1.0)
+    # sends the search down to 0.1, where the curve is seen to rise
+    monkeypatch.setattr(experiments, "map_sparsity",
+                        lambda post, res: 0.3 if post.prior.lam < 0.5 else 0.4)
+    solved = []
+    with pytest.raises(ValueError, match="not non-increasing"):
+        s_curve_select_lambda(_sparse_identity_factory(solved), 0.5,
+                              (1e-2, 1e2), tol=0.01)
+    assert solved == pytest.approx([1.0, 0.1])
 
 
 # -- scenario assembly ------------------------------------------------------------
@@ -315,13 +354,16 @@ def test_bundled_blur_and_tv_map_solves_run_no_cg(monkeypatch):
     assert all(r.converged and r.cg_iterations == 0 for r in solves)
 
 
-def test_radon_besov_map_solve_runs_cg():
+def test_radon_besov_map_solve_runs_cg(caplog):
     # a few outer iterations suffice to see the u-step run CG
     cfg = ScenarioConfig(name="ct2d", recon_shape=(16, 16), truth_factor=2,
                          noise_fraction=0.02, lam=0.5, lambda_rule="fixed",
                          angles=7, bins=23, seed=4,
                          solver=SolverOptions(max_iters=20))
-    with pytest.warns(UserWarning, match="no convergence"):
+    with caplog.at_level(logging.WARNING, logger="bregbayes.map_solver"):
         record = run_experiment(cfg, with_cm=False)
+    assert "no convergence" in caplog.text
+    assert not record.metrics["map_converged"]
+    assert record.metrics["lambda_search"] == []
     assert record.map_result.cg_iterations > 0
     assert record.metrics["map_cg_iterations"] == record.map_result.cg_iterations

@@ -1,5 +1,5 @@
 import dataclasses
-import warnings
+import logging
 
 import numpy as np
 import pytest
@@ -258,10 +258,12 @@ def test_penalty_is_not_a_model_parameter():
     f = RNG.standard_normal(n + 1)
     post = _posterior(k, f, 1.0, make_l1_prior(0.6))
     tol = 1e-9
+    # the KKT stop must sit far below the 1e-7 bound: at the default 1e-6
+    # two converged solves can end over 1e-6 apart
     res1 = solve_map(post, SolverOptions(penalty=0.6, tol_rel_change=tol,
-                                         max_iters=20000))
+                                         tol_residual=1e-12, max_iters=20000))
     res2 = solve_map(post, SolverOptions(penalty=1.2, tol_rel_change=tol,
-                                         max_iters=20000))
+                                         tol_residual=1e-12, max_iters=20000))
     scale = max(np.linalg.norm(res1.estimate), 1e-30)
     assert np.linalg.norm(res1.estimate - res2.estimate) / scale < 10 * 1e-8
 
@@ -289,16 +291,15 @@ def test_certificate_definition():
     np.testing.assert_allclose(cert, expected, atol=1e-12)
 
 
-def test_nonconvergence_is_flagged_and_returned():
+def test_nonconvergence_is_flagged_and_returned(caplog):
     n = 10
     k = RNG.standard_normal((n, n)) + np.eye(n)
     post = _posterior(k, RNG.standard_normal(n), 1.0, make_l1_prior(0.2))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with caplog.at_level(logging.WARNING, logger="bregbayes.map_solver"):
         res = solve_map(post, SolverOptions(max_iters=2, tol_rel_change=1e-14))
     assert not res.converged
     assert res.estimate.shape == (n,)
-    assert any("convergence" in str(w.message) for w in caught)
+    assert "no convergence" in caplog.text
 
 
 def test_trace_written(tmp_path):

@@ -183,7 +183,9 @@ def test_radon_sparse_columns_match_probed_columns():
     gaussian_blur(grid1d(8), 0.3),  # kernel radius 10 > side: folds twice
     interval_average_1d(grid1d(13), 5),
     interval_average_1d(grid1d(255), 30),
-], ids=["blur12x12", "blur10x6", "blur1d-long-kernel", "avg13", "avg255"])
+    haar_transform(grid2d(16, 8), levels=2),
+], ids=["blur12x12", "blur10x6", "blur1d-long-kernel", "avg13", "avg255",
+        "haar16x8"])
 def test_assembled_sparse_columns_match_probed_columns(op):
     read = sparse_columns(op)
     probed = sparse_columns(dataclasses.replace(op, matrix=None, columns=None))
@@ -257,6 +259,43 @@ def test_haar_2d_constant_image_single_coefficient():
     c = op.apply(np.full(n * n, 2.0))
     assert abs(c[0] - 2.0 * n) < 1e-12
     assert np.abs(c[1:]).max() < 1e-12
+
+
+def _haar_loop(u, shape, levels, inverse=False):
+    """Per-level loop reference: pair sums and differences over sqrt(2),
+    last axis first, on the leading block of each level."""
+    r2 = np.sqrt(2.0)
+    img = np.array(u, dtype=float).reshape(shape)
+    axes = list(reversed(range(img.ndim)))
+    for lv in (reversed(range(levels)) if inverse else range(levels)):
+        block = tuple(slice(s >> lv) for s in shape)
+        for axis in (axes[::-1] if inverse else axes):
+            b = np.moveaxis(img[block], axis, 0)
+            m = b.shape[0] // 2
+            out = np.empty_like(b)
+            if inverse:
+                out[0::2] = (b[:m] + b[m:]) / r2
+                out[1::2] = (b[:m] - b[m:]) / r2
+            else:
+                out[:m] = (b[0::2] + b[1::2]) / r2
+                out[m:] = (b[0::2] - b[1::2]) / r2
+            img[block] = np.moveaxis(out, 0, axis)
+    return img.reshape(-1)
+
+
+@pytest.mark.parametrize("shape", [(16,), (8, 8), (16, 8)], ids=str)
+def test_haar_matrix_matches_loop_reference(shape):
+    grid = grid1d(*shape) if len(shape) == 1 else grid2d(*shape)
+    for levels in range(1, int(np.log2(min(shape))) + 1):
+        op = haar_transform(grid, levels)
+        assert op.matrix is not None
+        for _ in range(3):
+            u = RNG.standard_normal(grid.size)
+            forward = _haar_loop(u, shape, levels)
+            inverse = _haar_loop(u, shape, levels, inverse=True)
+            np.testing.assert_allclose(op.apply(u), forward, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(op.adjoint_apply(u), inverse, rtol=0,
+                                       atol=1e-14)
 
 
 def test_haar_rejects_non_power_of_two():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -11,9 +13,9 @@ from bregbayes.priors import (make_besov_prior, make_gaussian_prior,
                               make_l1_prior, make_tv1d_prior)
 from bregbayes.sampling import (Chain, PiecewiseGaussian1D, _pg_draw,
                                 _pg_draw_scalar, _pg_table, batch_means_stderr,
-                                gibbs_layout, load_chain, sample_gibbs,
-                                sample_rwm, save_chain, summarize,
-                                two_chain_discrepancy)
+                                gibbs_layout, load_chain, rwm_layout,
+                                sample_gibbs, sample_rwm, save_chain,
+                                summarize, two_chain_discrepancy)
 
 RNG = np.random.default_rng(2718)
 
@@ -365,6 +367,24 @@ def test_rwm_besov_agrees_with_transform_domain_gibbs():
     s_c = summarize(ch_c, post_c.prior)
     bound = 3 * (s_u.stderr + np.abs(wd.T) @ s_c.stderr)
     assert np.all(np.abs(mu_u - mu_c) <= bound)
+
+
+def test_rwm_layout_reads_the_haar_matrix_without_applying_it():
+    w = haar_transform(grid2d(8, 8))
+
+    def no_apply(_):
+        raise AssertionError("rwm_layout applied the Haar transform")
+
+    prior = make_besov_prior(0.5, np.ones(64), w)
+    prior = dataclasses.replace(prior, transform=dataclasses.replace(
+        w, apply=no_apply, adjoint_apply=no_apply))
+    post = _post(np.eye(64), np.zeros(64), 1.0, prior)
+    layout = rwm_layout(post)
+    dense = w.matrix.toarray()
+    for i, (idx, vals) in enumerate(layout.w_cols):
+        col = np.zeros(64)
+        col[idx] = vals
+        np.testing.assert_array_equal(col, dense[:, i])
 
 
 def test_rwm_validation():
