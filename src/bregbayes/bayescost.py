@@ -141,17 +141,13 @@ class CostReport:
         return asdict(self)
 
 
-def _per_sample_costs(chain: Chain, uhat: np.ndarray, spec: CostSpec) -> np.ndarray:
-    return np.array([spec.evaluate(u, uhat) for u in chain.samples])
-
-
 def mc_bayes_cost(chain: Chain, uhat, spec: CostSpec,
                   n_batches: int = 20) -> CostReport:
     """Posterior-expected cost at uhat by Monte Carlo over the chain."""
     if len(chain) < 1:
         raise ValueError("empty chain")
     uhat = as_vector(uhat)
-    costs = _per_sample_costs(chain, uhat, spec)
+    costs = _CachedCost(chain, spec).costs_at(uhat)
     stderr = (float(batch_means_stderr(costs[:, None], n_batches)[0])
               if len(chain) >= n_batches else float("nan"))
     return CostReport(float(costs.mean()), stderr, len(chain))

@@ -17,6 +17,7 @@ data.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -561,7 +562,10 @@ def run_experiment(cfg: ScenarioConfig, verify: bool = False,
     if not with_cm:
         return ExperimentRecord(cfg, parts, data, lam, post, map_result, [],
                                 None, metrics, [])
+    start = time.perf_counter()
     chains = sample_posterior(post, cfg, parts.sampler_method)
+    sample_s = time.perf_counter() - start
+    updates = sum((c.burn_in + len(c) * c.thinning) * c.dim for c in chains)
     merged = _merged_chain(chains)
     cm = summarize(merged, post.prior)
     disc = two_chain_discrepancy(chains[0], chains[-1])
@@ -570,6 +574,8 @@ def run_experiment(cfg: ScenarioConfig, verify: bool = False,
         "prior_energy_cm": prior.energy(cm.mean),
         "two_chain_sup": disc.sup,
         "two_chain_rel_l2": disc.rel_l2,
+        "sample_s": sample_s,
+        "coord_updates_per_s": updates / sample_s,
     })
     if chains[0].acceptance_rate is not None:
         metrics["acceptance_rate"] = chains[0].acceptance_rate

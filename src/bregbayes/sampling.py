@@ -9,7 +9,11 @@ Two samplers are provided:
   coloured once per posterior so that no two coordinates of one colour
   share a data row or a prior coupling; each sweep visits the colour
   classes in turn and draws all members of a class at once, which is
-  exact Gibbs with a colour-by-colour scan order.
+  exact Gibbs with a colour-by-colour scan order. A pixel-l1 class takes
+  the closed-form two-piece draw :func:`_l1_draw` (one kink at 0); TV
+  and Gaussian classes go through the general piece table
+  (:func:`_pg_table` + :func:`_pg_draw`), and a class of one coordinate
+  takes the scalar draw :func:`_pg_draw_scalar`.
 * :func:`sample_rwm` -- componentwise Gaussian-proposal Metropolis for
   everything else (notably the Besov prior in its wavelet domain).
 
@@ -175,6 +179,38 @@ class PiecewiseGaussian1D:
             frac = np.exp(frac_num - frac_den)
         frac = np.where(np.isfinite(frac), frac, 0.0)
         return np.clip(below + width * frac, 0.0, 1.0)
+
+
+_SIDES = np.array([[-1.0], [1.0]])  # slope of |t| on t <= 0 and on t >= 0
+
+
+def _l1_draw(a, b, lam, u1, u2) -> np.ndarray:
+    """One exact draw from exp(-(a t^2 + b t) - lam |t|) per entry.
+
+    The closed form of :func:`_pg_table` and :func:`_pg_draw` at a single
+    kink at 0: two one-sided truncated Gaussians, t <= 0 and t >= 0. It
+    keeps their arithmetic operation for operation, so the draws are
+    bit-identical, without building a piece table. ``a``, ``b``, ``u1``
+    and ``u2`` have shape (B,); ``lam`` is a scalar or has shape (B,).
+    """
+    two_a = 2.0 * a
+    sigma = 1.0 / np.sqrt(two_a)
+    mu = -(b + _SIDES * lam) / two_a  # (2, B) piece centres
+    # the finite end of each piece, standardised and flipped where needed
+    # so that the piece is (-inf, q] of a standard normal
+    q = _SIDES * mu / sigma
+    log_cdf = log_ndtr(q)
+    log_mass = a * mu * mu + log_cdf
+    w = np.exp(log_mass - np.maximum(log_mass[0], log_mass[1]))
+    pos = w[0] <= u1 * (w[0] + w[1])  # the piece t >= 0
+    lb = np.where(pos, log_cdf[1], log_cdf[0])
+    u = np.where(pos, 1.0 - u2, u2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = np.minimum(lb + np.log1p(u - 1.0), 0.0)
+    x = np.minimum(ndtri_exp(np.where(np.isfinite(logp), logp, lb)),
+                   np.where(pos, q[1], q[0]))
+    t = np.where(pos, mu[1], mu[0]) + sigma * np.where(pos, -x, x)
+    return np.where(pos, np.maximum(t, 0.0), np.minimum(t, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +437,7 @@ class GibbsLayout:
 
     order: np.ndarray = field(repr=False)  # (n,) coordinates in scan order
     bounds: np.ndarray = field(repr=False)  # (n_classes + 1,)
-    rows: np.ndarray = field(repr=False)  # (n, width) int32 data rows
+    rows: np.ndarray = field(repr=False)  # (n, width) data rows
     vals: np.ndarray = field(repr=False)  # (n, width) column values
     pvals: np.ndarray = field(repr=False)  # values weighted by the precision
     colnorm: np.ndarray = field(repr=False)  # (n,) ||K e_i||_P^2
@@ -455,7 +491,7 @@ def gibbs_layout(post: Posterior) -> GibbsLayout:
     bounds = np.searchsorted(colour[order], np.arange(colour.max() + 2))
     n = len(cols)
     width = max(r.size for r, _ in cols)
-    rows = np.full((n, width), op.out_dim, dtype=np.int32)
+    rows = np.full((n, width), op.out_dim, dtype=np.intp)
     vals = np.zeros((n, width))
     pvals = np.zeros((n, width))
     colnorm = np.empty(n)
@@ -516,14 +552,14 @@ def sample_gibbs(post: Posterior, n_samples: int, burn_in: int = 0,
     blocks = []
     for k0, k1 in zip(layout.bounds[:-1], layout.bounds[1:]):
         if k1 - k0 == 1:
-            blocks.append((order[k0], layout.rows[k0], layout.vals[k0],
-                           layout.pvals[k0], layout.colnorm[k0], a_all[k0],
-                           None, None))
+            blocks.append((True, order[k0], k0, layout.rows[k0],
+                           layout.vals[k0], layout.pvals[k0],
+                           layout.colnorm[k0], a_all[k0], None))
             continue
         members = order[k0:k1]
         size = k1 - k0
         if kind == "l1":
-            kinks = (np.full((size, 1), lam), np.zeros((size, 1)))
+            kinks = None  # the closed-form two-piece draw needs no table
         elif kind == "tv1d":
             # a coordinate at an end has one neighbour; its other kink is a
             # weight-0 pad at the same location
@@ -534,17 +570,20 @@ def sample_gibbs(post: Posterior, n_samples: int, burn_in: int = 0,
             kinks = (weights, left, right)
         else:
             kinks = (np.zeros((size, 0)), np.zeros((size, 0)))
-        blocks.append((members, layout.rows[k0:k1], layout.vals[k0:k1],
-                       layout.pvals[k0:k1], layout.colnorm[k0:k1],
-                       a_all[k0:k1], kinks, np.arange(size)))
+        blocks.append((False, members, slice(k0, k1), layout.rows[k0:k1],
+                       layout.vals[k0:k1], layout.pvals[k0:k1],
+                       layout.colnorm[k0:k1], a_all[k0:k1], kinks))
     total_sweeps = burn_in + n_samples * thinning
     out = np.empty((n_samples, n))
     rec = 0
     last = n - 1
     for sweep in range(total_sweeps):
-        uu = rng.random((n, 2))
-        for members, idx, vals, pv, cn, a, kinks, span in blocks:
-            if span is None:
+        # row j holds the uniforms of coordinate order[j], so each class
+        # reads a slice; coordinate i still takes row i of the drawn block
+        uu = rng.random((n, 2))[order]
+        u1_all, u2_all = uu[:, 0], uu[:, 1]
+        for scalar, members, scan, idx, vals, pv, cn, a, kinks in blocks:
+            if scalar:
                 # scalar draw, with the arithmetic of a sequential sweep
                 i = members
                 ui = u[i]
@@ -564,7 +603,7 @@ def sample_gibbs(post: Posterior, n_samples: int, burn_in: int = 0,
                     dl, dr = u[i - 1], u[i + 1]
                     ks = (((lam, dl), (lam, dr)) if dl <= dr
                           else ((lam, dr), (lam, dl)))
-                t = _pg_draw_scalar(a, b, ks, uu[i, 0], uu[i, 1])
+                t = _pg_draw_scalar(a, b, ks, u1_all[scan], u2_all[scan])
                 delta = t - ui
                 if delta != 0.0:
                     rho[idx] -= delta * vals
@@ -573,21 +612,27 @@ def sample_gibbs(post: Posterior, n_samples: int, burn_in: int = 0,
                     u[i] = t
                 continue
             ui = u[members]
-            b = -(ui * cn + np.einsum("ij,ij->i", pv, rho[idx]))
+            r = rho[idx]
+            b = -(ui * cn + np.einsum("ij,ij->i", pv, r))
             if l_mat is not None:
                 l_cols = l_mat[:, members]
                 b += 2.0 * lc * (l_cols.T @ lw - ui * lnorm[members])
-            if kind == "tv1d":
-                c, left, right = kinks
-                dl, dr = u[left], u[right]
-                d = np.column_stack([np.minimum(dl, dr), np.maximum(dl, dr)])
+            u1, u2 = u1_all[scan], u2_all[scan]
+            if kinks is None:
+                t = _l1_draw(a, b, lam, u1, u2)
             else:
-                c, d = kinks
-            t = _pg_draw(_pg_table(a, b, c, d), span, uu[members, 0],
-                         uu[members, 1])
+                if kind == "tv1d":
+                    c, left, right = kinks
+                    dl, dr = u[left], u[right]
+                    d = np.column_stack([np.minimum(dl, dr),
+                                         np.maximum(dl, dr)])
+                else:
+                    c, d = kinks
+                t = _pg_draw(_pg_table(a, b, c, d), np.arange(b.size), u1,
+                             u2)
             delta = t - ui
             # members share no data row, so this indexed update is exact
-            rho[idx] -= delta[:, None] * vals
+            rho[idx] = r - delta[:, None] * vals
             if l_mat is not None:
                 lw += l_cols @ delta
             u[members] = t

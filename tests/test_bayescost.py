@@ -180,6 +180,28 @@ def test_cached_cost_matches_direct_evaluation():
         np.testing.assert_allclose(cached, direct, atol=1e-12)
 
 
+def test_mc_bayes_cost_mean_matches_per_sample_evaluation():
+    # mc_bayes_cost goes through the cached evaluator; its mean must be
+    # the mean of the plain per-sample costs, for every cost kind
+    rng = np.random.default_rng(31)
+    k = rng.standard_normal((4, 3)) + np.eye(4, 3)
+    post = _post(k, rng.standard_normal(4), 0.8, make_l1_prior(0.9))
+    chain = sample_gibbs(post, 400, burn_in=40, seed=37)
+    specs = [CostSpec.mse(), CostSpec.uniform(0.6),
+             CostSpec.ls(post.operator, post.noise,
+                         rng.standard_normal((2, 3)), beta=0.3),
+             CostSpec.bregman(post.prior, post.operator, post.noise)]
+    uhat = rng.standard_normal(3)
+    for spec in specs:
+        rep = mc_bayes_cost(chain, uhat, spec)
+        direct = np.mean([spec.evaluate(u, uhat) for u in chain.samples])
+        assert rep.estimate_cost == pytest.approx(direct, rel=1e-12,
+                                                  abs=1e-12), spec.kind
+        assert rep.n_samples == len(chain)
+    uniform = np.array([specs[1].evaluate(u, uhat) for u in chain.samples])
+    assert 0.0 < uniform.mean() < 1.0  # both outcomes occur
+
+
 # -- optimality probing ----------------------------------------------------------
 
 

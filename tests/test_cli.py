@@ -159,6 +159,8 @@ def test_cli_estimate_writes_everything(tmp_path):
     assert len(chain) == 40
     metrics = json.loads((out / "metrics.json").read_text())
     assert "rel_l2_map" in metrics and "rel_l2_cm" in metrics
+    assert metrics["sample_s"] > 0
+    assert metrics["coord_updates_per_s"] > 0
     trace = (out / "map_trace.csv").read_text().splitlines()
     assert trace[0] == "iteration,energy,residual"
     assert trace[-1].split(",")[2] != ""  # final residual recorded

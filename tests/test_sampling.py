@@ -11,8 +11,9 @@ from bregbayes.operators import (from_matrix, gaussian_blur, haar_transform,
                                  interval_average_1d, sparse_columns)
 from bregbayes.priors import (make_besov_prior, make_gaussian_prior,
                               make_l1_prior, make_tv1d_prior)
-from bregbayes.sampling import (Chain, PiecewiseGaussian1D, _pg_draw,
-                                _pg_draw_scalar, _pg_table, batch_means_stderr,
+from bregbayes.sampling import (Chain, PiecewiseGaussian1D, _l1_draw,
+                                _pg_draw, _pg_draw_scalar, _pg_table,
+                                batch_means_stderr,
                                 gibbs_layout, load_chain, rwm_layout,
                                 sample_gibbs, sample_rwm, save_chain,
                                 summarize, two_chain_discrepancy)
@@ -116,6 +117,73 @@ def test_padded_kinks_draw_like_unpadded():
     d_pad = np.take_along_axis(d_pad, by_location, axis=1)
     padded = _pg_draw(_pg_table(a, b, c_pad, d_pad), rows, u1, u2)
     np.testing.assert_allclose(padded, plain, rtol=0, atol=1e-12)
+
+
+def _table_l1_draw(a, b, lam, u1, u2):
+    """The general piece-table kernel at one kink at 0 of weight lam."""
+    size = a.size
+    c = np.broadcast_to(lam, (size,)).reshape(size, 1)
+    return _pg_draw(_pg_table(a, b, c, np.zeros((size, 1))), np.arange(size),
+                    u1, u2)
+
+
+def test_l1_draw_is_the_table_kernel_bitwise():
+    rng = np.random.default_rng(41)
+    for batch in range(2400):
+        size = int(rng.integers(1, 81))
+        a = np.exp(rng.uniform(-6.0, 10.0, size))
+        b = rng.choice([-1.0, 1.0], size) * np.exp(rng.uniform(-6.0, 12.0,
+                                                               size))
+        # a scalar weight and a per-member weight (Besov-style lam w_j)
+        lam = (np.exp(rng.uniform(-3.0, 6.0)) if batch % 2
+               else np.exp(rng.uniform(-3.0, 6.0, size)))
+        u1, u2 = rng.random(size), rng.random(size)
+        # the ends of the inverse CDF, where the tail clip acts
+        u2[::5] = 1.0 - 2.0**-53
+        u2[1::7] = 0.0
+        assert np.array_equal(_l1_draw(a, b, lam, u1, u2),
+                              _table_l1_draw(a, b, lam, u1, u2))
+
+
+def test_l1_draw_matches_scalar_draw():
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        a = rng.uniform(0.02, 50.0)
+        b = rng.uniform(-30, 30)
+        lam = rng.uniform(0.0, 5.0)
+        u1, u2 = rng.random(), rng.random()
+        t = _l1_draw(np.array([a]), np.array([b]), lam, np.array([u1]),
+                     np.array([u2]))
+        assert t.shape == (1,)
+        assert t[0] == pytest.approx(
+            _pg_draw_scalar(a, b, ((lam, 0.0),), u1, u2), abs=1e-12)
+
+
+def test_l1_draw_deep_tails():
+    u1 = np.array([0.0, 1e-300, 0.3, 0.5, 0.9, 1.0 - 2.0**-53])
+    u2 = np.array([0.0, 1e-300, 0.2, 0.5, 0.97, 1.0 - 2.0**-53])
+    u1, u2 = (np.repeat(u1, u2.size), np.tile(u2, u1.size))
+    size = u1.size
+    ones = np.ones(size)
+    # the Gaussian centre 5e4 from the kink: the other piece's mass,
+    # relative to this one, underflows to 0, so every draw lands here
+    for b, side in ((1e5, -1.0), (-1e5, 1.0)):
+        t = _l1_draw(ones, b * ones, 10.0, u1, u2)
+        assert np.all(np.isfinite(t))
+        assert np.all(side * t >= 0.0)
+        assert np.array_equal(t, _table_l1_draw(ones, b * ones, 10.0, u1, u2))
+    # both pieces 70 standard deviations into their tails: the draws sit
+    # next to 0, each on the side of the piece that u1 selects
+    a, b, lam = ones, 0.5 * ones, 100.0
+    t = _l1_draw(a, b, lam, u1, u2)
+    assert np.all(np.isfinite(t))
+    assert np.array_equal(t, _table_l1_draw(a, b, lam, u1, u2))
+    table = _pg_table(a, b, np.full((size, 1), lam), np.zeros((size, 1)))
+    w = np.exp(table.log_mass - table.log_mass.max(axis=1, keepdims=True))
+    positive = w[:, 0] <= u1 * w.sum(axis=1)
+    assert positive.any() and not positive.all()
+    assert np.all(t[positive] >= 0.0) and np.all(t[~positive] <= 0.0)
+    assert np.abs(t).max() < 1.0
 
 
 def test_piecewise_gaussian_rejects_nonnormalizable():
@@ -273,6 +341,44 @@ def test_chromatic_l1_blocks_match_quadrature_cm():
     chain = sample_gibbs(post, 10000, burn_in=200, seed=29)
     s = summarize(chain, post.prior)
     assert np.all(np.abs(s.mean - cm) <= 3 * s.stderr)
+
+
+def _reference_l1_chain(post, n_sweeps, seed):
+    """sample_gibbs on a pixel-l1 posterior without singleton classes,
+    written out with the general piece-table kernel."""
+    layout = gibbs_layout(post)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    lam = post.prior.lam
+    u = np.zeros(post.dim)
+    rho = np.append(post.data.values - post.operator.apply(u), 0.0)
+    out = []
+    for _ in range(n_sweeps):
+        uu = rng.random((post.dim, 2))
+        for k0, k1 in zip(layout.bounds[:-1], layout.bounds[1:]):
+            members, idx = layout.order[k0:k1], layout.rows[k0:k1]
+            cn = layout.colnorm[k0:k1]
+            ui = u[members]
+            b = -(ui * cn + np.einsum("ij,ij->i", layout.pvals[k0:k1],
+                                      rho[idx]))
+            t = _table_l1_draw(0.5 * cn, b, lam, uu[members, 0],
+                               uu[members, 1])
+            rho[idx] -= (t - ui)[:, None] * layout.vals[k0:k1]
+            u[members] = t
+        out.append(u.copy())
+    return np.array(out)
+
+
+def test_chromatic_l1_chain_is_the_table_kernel_chain():
+    grid = grid2d(12)
+    k = gaussian_blur(grid, 0.04)
+    rng = np.random.default_rng(47)
+    post = Posterior(k, Signal(grid, rng.standard_normal(grid.size)),
+                     GaussianNoiseModel.from_sigma(0.3, grid.size),
+                     make_l1_prior(2.0))
+    sizes = [c.size for c in _classes(post)]
+    assert min(sizes) > 1 and max(sizes) < grid.size
+    chain = sample_gibbs(post, 60, seed=53)
+    assert np.array_equal(chain.samples, _reference_l1_chain(post, 60, 53))
 
 
 def test_chromatic_tv_ends_match_quadrature_cm():
