@@ -18,6 +18,9 @@ from bregbayes.sampling import (Chain, PiecewiseGaussian1D, _l1_draw,
                                 sample_gibbs, sample_rwm, save_chain,
                                 summarize, two_chain_discrepancy)
 
+# A kernel that divides by zero or overflows in a tail fails loudly.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 RNG = np.random.default_rng(2718)
 
 
