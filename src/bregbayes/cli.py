@@ -9,7 +9,8 @@ Subcommands (each takes a config file plus optional --seed/--out-dir):
     verify     estimate + the full Bayes-cost check suite
     dilemma    the TV lambda-scaling sweep (tv1d configs only)
 
-Every run writes a manifest listing its artifacts and the config hash.
+Every run writes a manifest listing its artifacts, the config hash and the
+python, numpy and scipy versions.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .bayescost import format_report_text
 from .config import load_config
@@ -87,6 +90,9 @@ class _Writer:
 
     def finish(self) -> None:
         manifest = {"config_hash": self.config_hash,
+                    "versions": {"python": platform.python_version(),
+                                 "numpy": np.__version__,
+                                 "scipy": scipy.__version__},
                     "artifacts": sorted(self.artifacts,
                                         key=lambda a: a["path"])}
         (self.out_dir / "manifest.json").write_text(

@@ -628,6 +628,8 @@ class DilemmaLevel:
     rel_l2_cm: float
     two_chain_sup: float
     two_chain_rel_l2: float
+    map_converged: bool
+    map_iterations: int
 
 
 @dataclass(frozen=True)
@@ -646,7 +648,8 @@ def run_dilemma_sweep(cfg: ScenarioConfig, rule: str,
 
     ``rule='sqrt_n'`` scales lambda with c sqrt(n+1); ``rule='fixed'``
     keeps cfg.lam. Data is generated once on the fine grid and shared by
-    every reconstruction level.
+    every reconstruction level. Raises when a level's MAP solve does not
+    converge.
     """
     if cfg.name != "tv1d":
         raise ValueError("the dilemma sweep is a tv1d scenario")
@@ -663,6 +666,11 @@ def run_dilemma_sweep(cfg: ScenarioConfig, rule: str,
                else float(cfg.lam))
         post = assemble_posterior(parts, data, lam)
         map_result = solve_map(post, scenario_solver_options(cfg, lam, post))
+        if not map_result.converged:
+            raise ValueError(f"dilemma sweep, rule {rule}, n = {n}: MAP solve "
+                             f"did not converge within "
+                             f"{map_result.iterations} iterations (residual "
+                             f"{map_result.residual_norm:.3e})")
         truth = parts.truth_on_recon.values
         if with_cm:
             chains = sample_posterior(post, cfg, "gibbs",
@@ -686,5 +694,7 @@ def run_dilemma_sweep(cfg: ScenarioConfig, rule: str,
             rel_l2_cm=rel_cm,
             two_chain_sup=d_sup,
             two_chain_rel_l2=d_rel,
+            map_converged=map_result.converged,
+            map_iterations=map_result.iterations,
         ))
     return DilemmaReport(rule, levels)

@@ -10,10 +10,12 @@ Two samplers are provided:
   share a data row or a prior coupling; each sweep visits the colour
   classes in turn and draws all members of a class at once, which is
   exact Gibbs with a colour-by-colour scan order. A pixel-l1 class takes
-  the closed-form two-piece draw :func:`_l1_draw` (one kink at 0); TV
-  and Gaussian classes go through the general piece table
-  (:func:`_pg_table` + :func:`_pg_draw`), and a class of one coordinate
-  takes the scalar draw :func:`_pg_draw_scalar`.
+  the closed-form two-piece draw :func:`_l1_draw` (one kink at 0), a TV
+  class the closed-form three-piece draw :func:`_tv_draw` (two kinks, at
+  the neighbours' values); the general piece table (:func:`_pg_table` +
+  :func:`_pg_draw`) serves only Gaussian classes and
+  :class:`PiecewiseGaussian1D`. A class of one coordinate takes the
+  scalar draw :func:`_pg_draw_scalar`.
 * :func:`sample_rwm` -- componentwise Gaussian-proposal Metropolis for
   everything else (notably the Besov prior in its wavelet domain).
 
@@ -211,6 +213,107 @@ def _l1_draw(a, b, lam, u1, u2) -> np.ndarray:
                    np.where(pos, q[1], q[0]))
     t = np.where(pos, mu[1], mu[0]) + sigma * np.where(pos, -x, x)
     return np.where(pos, np.maximum(t, 0.0), np.minimum(t, 0.0))
+
+
+class _TvClass(NamedTuple):
+    """Per-class constants of :func:`_tv_draw` (see :func:`_tv_class`)."""
+
+    a: np.ndarray  # (B,)
+    two_a: np.ndarray
+    sigma: np.ndarray
+    c: np.ndarray  # (2, B) weights of the lower and the upper kink
+    slope: np.ndarray  # (3, B) slope of the kink terms on each piece
+    at: np.ndarray  # (7, B) flat offsets into the piece table, piece 0
+
+
+# Row groups of the (19, B) table that _tv_draw fills. A group holds one
+# row per piece (piece p of group g is row g + p), so one gather at the
+# offsets _TvClass.at + p B reads every group of the chosen piece p:
+#   _HI, _LO  the piece as [lo, hi] of a standard normal, flipped where
+#             _truncnorm_std flips it (lo = -inf on the outer pieces)
+#   _LB, _LA  log_ndtr of hi and of lo
+#   _MU       the centre of the piece's Gaussian
+#   _EDGE     -inf, d1, d2, inf (4 rows): piece p is [edge p, edge p + 1]
+_HI, _LO, _LB, _LA, _MU, _EDGE = 0, 3, 6, 9, 12, 15
+_TV_GATHER = np.array([_HI, _LO, _LB, _LA, _MU, _EDGE, _EDGE + 1])
+
+
+def _tv_class(a, c1, c2) -> _TvClass:
+    """Constants of one colour class for :func:`_tv_draw`, built once.
+
+    The slopes are those of :func:`_pg_table` at two kinks, computed the
+    same way: -T, 2 c1 - T and T with T = c1 + c2.
+    """
+    total = c1 + c2
+    slope = np.stack([0.0 - total, 2.0 * c1 - total, 2.0 * total - total])
+    two_a = 2.0 * a
+    size = a.size
+    at = _TV_GATHER[:, None] * size + np.arange(size)
+    return _TvClass(a, two_a, 1.0 / np.sqrt(two_a), np.stack([c1, c2]),
+                    slope, at)
+
+
+def _tv_draw(k: _TvClass, b, nb, u1, u2) -> np.ndarray:
+    """One exact draw from exp(-(a t^2 + b t) - c1|t - d1| - c2|t - d2|).
+
+    The closed form of :func:`_pg_table` and :func:`_pg_draw` at two kinks:
+    three pieces, (-inf, d1], [d1, d2] and [d2, inf). ``nb`` (2, B) holds
+    the two neighbour values in either order, d1 <= d2 the sorted pair; c1
+    weights d1 and c2 weights d2 (see :func:`_tv_class`), and a weight of
+    0 marks a missing end neighbour, whose pad sits at the other kink.
+    ``b``, ``u1`` and ``u2`` have shape (B,). It keeps the table's
+    arithmetic operation for operation, so the draws are bit-identical,
+    but builds no piece table: the middle piece's flip and log CDFs serve
+    both its mass and its truncated normal, and one gather reads the
+    chosen piece.
+    """
+    size = b.size
+    tab = np.empty((19, size))
+    edge = tab[_EDGE:_EDGE + 4]
+    edge[0] = -np.inf
+    np.minimum(nb[0], nb[1], out=edge[1])
+    np.maximum(nb[0], nb[1], out=edge[2])
+    edge[3] = np.inf
+    d = edge[1:3]
+    mu = tab[_MU:_MU + 3]
+    np.divide(-(b + k.slope), k.two_a, out=mu)
+    z = (d[:, None] - mu) / k.sigma  # z[i, j] = (d_i - mu_j) / sigma
+    # piece 0 is (-inf, beta_0], piece 2 flipped is (-inf, -alpha_2], and
+    # the middle piece is flipped where _log_norm_cdf_diff flips it
+    flip = z[0, 1] > -z[1, 1]
+    tab[_HI] = z[0, 0]
+    np.negative(z[1, 2], out=tab[_HI + 2])
+    tab[_LO:_LO + 3:2] = -np.inf
+    bounds_1 = tab[_LO + 1:_HI:-3]  # rows lo_1, hi_1
+    np.copyto(bounds_1, z[:, 1])
+    np.negative(z[::-1, 1], out=bounds_1, where=flip)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        log_ndtr(tab[_HI:_LO + 3], out=tab[_LB:_LA + 3])
+        lb_1, la_1 = tab[_LB + 1], tab[_LA + 1]
+        cdf_1 = lb_1 + np.log1p(-np.exp(np.minimum(la_1 - lb_1, 0.0)))
+        np.copyto(cdf_1, -np.inf, where=np.isneginf(lb_1))
+        # offsets Tcd - 2 (0, c1 d1, Tcd) with Tcd = c1 d1 + c2 d2
+        left_cd = np.zeros((3, size))
+        np.multiply(k.c, d, out=left_cd[1:])
+        left_cd[2] += left_cd[1]
+        log_mass = k.a * mu * mu - (left_cd[2] - 2.0 * left_cd)
+        log_mass[0] += tab[_LB]
+        log_mass[1] += cdf_1
+        log_mass[2] += tab[_LB + 2]
+        w = np.exp(log_mass - log_mass.max(axis=0))
+        cum_1 = w[0] + w[1]
+        target = u1 * (cum_1 + w[2])
+        p = np.add(w[0] <= target, cum_1 <= target, dtype=np.intp)
+        flipped = p + flip >= 2  # piece 0 never flips, piece 2 always
+        hi, lo, lb, la, mu_p, t_lo, t_hi = tab.ravel()[p * size + k.at]
+        # _truncnorm_std on the chosen piece
+        u = np.where(flipped, 1.0 - u2, u2)
+        span = -np.expm1(np.minimum(la - lb, 0.0))
+        logp = np.minimum(lb + np.log1p(u * span - span), 0.0)
+        x = ndtri_exp(np.where(np.isfinite(logp), logp, lb))
+    x = np.minimum(np.maximum(x, lo), hi)
+    t = mu_p + k.sigma * np.where(flipped, -x, x)
+    return np.minimum(np.maximum(t, t_lo), t_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +666,12 @@ def sample_gibbs(post: Posterior, n_samples: int, burn_in: int = 0,
         elif kind == "tv1d":
             # a coordinate at an end has one neighbour; its other kink is a
             # weight-0 pad at the same location
-            left = np.where(members > 0, members - 1, members + 1)
-            right = np.where(members < n - 1, members + 1, members - 1)
-            weights = np.column_stack([np.where(members > 0, lam, 0.0),
-                                       np.where(members < n - 1, lam, 0.0)])
-            kinks = (weights, left, right)
+            neighbours = np.stack([
+                np.where(members > 0, members - 1, members + 1),
+                np.where(members < n - 1, members + 1, members - 1)])
+            kinks = (_tv_class(a_all[k0:k1], np.where(members > 0, lam, 0.0),
+                               np.where(members < n - 1, lam, 0.0)),
+                     neighbours)
         else:
             kinks = (np.zeros((size, 0)), np.zeros((size, 0)))
         blocks.append((False, members, slice(k0, k1), layout.rows[k0:k1],
@@ -618,17 +722,13 @@ def sample_gibbs(post: Posterior, n_samples: int, burn_in: int = 0,
                 l_cols = l_mat[:, members]
                 b += 2.0 * lc * (l_cols.T @ lw - ui * lnorm[members])
             u1, u2 = u1_all[scan], u2_all[scan]
-            if kinks is None:
+            if kind == "l1":
                 t = _l1_draw(a, b, lam, u1, u2)
+            elif kind == "tv1d":
+                tv, neighbours = kinks
+                t = _tv_draw(tv, b, u[neighbours], u1, u2)
             else:
-                if kind == "tv1d":
-                    c, left, right = kinks
-                    dl, dr = u[left], u[right]
-                    d = np.column_stack([np.minimum(dl, dr),
-                                         np.maximum(dl, dr)])
-                else:
-                    c, d = kinks
-                t = _pg_draw(_pg_table(a, b, c, d), np.arange(b.size), u1,
+                t = _pg_draw(_pg_table(a, b, *kinks), np.arange(b.size), u1,
                              u2)
             delta = t - ui
             # members share no data row, so this indexed update is exact

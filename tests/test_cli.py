@@ -1,8 +1,10 @@
 import json
 import logging
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 import bregbayes.experiments as experiments
 from bregbayes.cli import main
@@ -161,6 +163,10 @@ def test_cli_estimate_writes_everything(tmp_path, caplog):
     assert len(chain) == 40
     metrics = json.loads((out / "metrics.json").read_text())
     assert "rel_l2_map" in metrics and "rel_l2_cm" in metrics
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["versions"] == {"python": platform.python_version(),
+                                    "numpy": np.__version__,
+                                    "scipy": scipy.__version__}
     timing = [r for r in caplog.records if r.getMessage().startswith("sampling:")]
     assert len(timing) == 1
     sample_s, updates_per_s = timing[0].args

@@ -320,6 +320,20 @@ def test_run_dilemma_sweep_small():
     rep2 = run_dilemma_sweep(cfg, "fixed")
     assert all(lv.lam == 2.0 for lv in rep2.levels)
     assert all(np.isfinite(lv.tv_cm) for lv in rep2.levels)
+    assert all(lv.map_converged and lv.map_iterations >= 1
+               for lv in rep.levels + rep2.levels)
+
+
+def test_run_dilemma_sweep_rejects_unconverged_map():
+    cfg = ScenarioConfig(name="tv1d", recon_shape=(15,), truth_factor=4,
+                         noise_fraction=0.1, lam=2.0, rule_constant=0.25,
+                         data_size=8, sweep=(15, 31), seed=6,
+                         solver=SolverOptions(max_iters=3,
+                                              tol_rel_change=1e-9,
+                                              tol_residual=1e-3))
+    with pytest.raises(ValueError, match="rule fixed, n = 15: MAP solve did "
+                                         "not converge within 3 iterations"):
+        run_dilemma_sweep(cfg, "fixed", with_cm=False)
 
 
 # -- MAP u-step structure ------------------------------------------------------

@@ -13,6 +13,7 @@ from bregbayes.priors import (make_besov_prior, make_gaussian_prior,
                               make_l1_prior, make_tv1d_prior)
 from bregbayes.sampling import (Chain, PiecewiseGaussian1D, _l1_draw,
                                 _pg_draw, _pg_draw_scalar, _pg_table,
+                                _tv_class, _tv_draw,
                                 batch_means_stderr,
                                 gibbs_layout, load_chain, rwm_layout,
                                 sample_gibbs, sample_rwm, save_chain,
@@ -187,6 +188,103 @@ def test_l1_draw_deep_tails():
     assert positive.any() and not positive.all()
     assert np.all(t[positive] >= 0.0) and np.all(t[~positive] <= 0.0)
     assert np.abs(t).max() < 1.0
+
+
+def _table_tv_draw(a, b, c1, c2, d, u1, u2):
+    """The general piece-table kernel at the two sorted kinks ``d`` (2, B)."""
+    return _pg_draw(_pg_table(a, b, np.column_stack([c1, c2]), d.T),
+                    np.arange(a.size), u1, u2)
+
+
+def _same_bits(x, y):
+    return np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def test_tv_draw_is_the_table_kernel_bitwise():
+    rng = np.random.default_rng(59)
+    for batch in range(2400):
+        size = int(rng.integers(1, 41))
+        a = np.exp(rng.uniform(-6.0, 10.0, size))
+        b = rng.choice([-1.0, 1.0], size) * np.exp(rng.uniform(-6.0, 12.0,
+                                                               size))
+        # TV weights (lam on both kinks) or, every other batch, any weights
+        c1, c2 = (np.full((2, size), np.exp(rng.uniform(-3.0, 6.0))) if batch % 2
+                  else np.exp(rng.uniform(-3.0, 6.0, (2, size))))
+        d = np.sort(rng.choice([-1.0, 1.0], (2, size))
+                    * np.exp(rng.uniform(-8.0, 4.0, (2, size))), axis=0)
+        # ends of the chain: a weight-0 pad at the other kink's location
+        end = rng.integers(0, 6, size)
+        c1[end == 0] = 0.0
+        c2[end == 1] = 0.0
+        d[0, end <= 1] = d[1, end <= 1]
+        d[1, end == 2] = d[0, end == 2]  # two neighbours of equal value
+        u1, u2 = rng.random(size), rng.random(size)
+        # the ends of the inverse CDF, where the tail clip acts
+        u2[::5] = 1.0 - 2.0**-53
+        u2[1::7] = 0.0
+        # the kernel takes the neighbours in either order
+        swap = rng.random(size) < 0.5
+        nb = np.where(swap, d[::-1], d)
+        assert _same_bits(_tv_draw(_tv_class(a, c1, c2), b, nb, u1, u2),
+                          _table_tv_draw(a, b, c1, c2, d, u1, u2))
+
+
+def test_tv_draw_matches_scalar_draw():
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        a = rng.uniform(0.02, 50.0)
+        b = rng.uniform(-30, 30)
+        c1, c2 = rng.uniform(0.0, 5.0, 2)
+        d1, d2 = np.sort(rng.uniform(-4.0, 4.0, 2))
+        u1, u2 = rng.random(), rng.random()
+        t = _tv_draw(_tv_class(np.array([a]), np.array([c1]), np.array([c2])),
+                     np.array([b]), np.array([[d2], [d1]]), np.array([u1]),
+                     np.array([u2]))
+        assert t.shape == (1,)
+        assert t[0] == pytest.approx(
+            _pg_draw_scalar(a, b, ((c1, d1), (c2, d2)), u1, u2), abs=1e-12)
+
+
+def test_tv_draw_deep_tails():
+    u1 = np.array([0.0, 1e-300, 0.3, 0.5, 0.9, 1.0 - 2.0**-53])
+    u2 = np.array([0.0, 1e-300, 0.2, 0.5, 0.97, 1.0 - 2.0**-53])
+    u1, u2 = (np.repeat(u1, u2.size), np.tile(u2, u1.size))
+    ones = np.ones(u1.size)
+    # a = 1, so sigma = 1/sqrt(2). Kinks at -0.5 and 0.5 of weight 100 with
+    # b = 100 put the piece centres at 50, -50 and -150, so each piece lies
+    # at least 70 standard deviations into its Gaussian's tail; two pieces
+    # hold comparable mass. Weights 100 and 1e4 with b = 1 put them 7000
+    # out, and pieces 1 and 2 hold the mass. Both cases draw from two pieces.
+    mid = np.array([[-0.5], [0.5]]) * ones
+    for b, c1, c2 in ((100.0, 100.0, 100.0), (1.0, 100.0, 1e4)):
+        p = _tv_tail_pieces(b * ones, c1 * ones, c2 * ones, mid, u1, u2)
+        assert np.unique(p).size == 2
+    # an end (weight-0 pad) with the Gaussian centre 5e4 from the kink:
+    # the other piece's relative mass underflows, so every draw lands here
+    p = _tv_tail_pieces(1e5 * ones, 0.0 * ones, 10.0 * ones,
+                        np.full_like(mid, 0.5), u1, u2)
+    assert np.all(p == 0)
+
+
+def _tv_tail_pieces(b, c1, c2, d, u1, u2):
+    """Draws of _tv_draw at a = 1, checked to be finite, bit for bit the
+    table kernel's, and inside the piece that u1 selects. Every piece of
+    nonzero width has its lower end (piece 0: its upper end) at least 70
+    standard deviations from its Gaussian's centre. Returns the pieces."""
+    size = b.size
+    ones = np.ones(size)
+    t = _tv_draw(_tv_class(ones, c1, c2), b, d, u1, u2)
+    assert np.all(np.isfinite(t))
+    assert _same_bits(t, _table_tv_draw(ones, b, c1, c2, d, u1, u2))
+    table = _pg_table(ones, b, np.column_stack([c1, c2]), d.T)
+    end = np.where(np.isfinite(table.alpha), table.alpha, table.beta)
+    assert np.all((np.abs(end) >= 70.0) | (table.lo == table.hi))
+    w = np.exp(table.log_mass - table.log_mass.max(axis=1, keepdims=True))
+    cum = np.cumsum(w, axis=1)
+    p = np.minimum((cum <= u1[:, None] * cum[:, -1:]).sum(axis=1), 2)
+    rows = np.arange(size)
+    assert np.all(table.lo[rows, p] <= t) and np.all(t <= table.hi[rows, p])
+    return p
 
 
 def test_piecewise_gaussian_rejects_nonnormalizable():
@@ -382,6 +480,49 @@ def test_chromatic_l1_chain_is_the_table_kernel_chain():
     assert min(sizes) > 1 and max(sizes) < grid.size
     chain = sample_gibbs(post, 60, seed=53)
     assert np.array_equal(chain.samples, _reference_l1_chain(post, 60, 53))
+
+
+def _reference_tv_chain(post, n_sweeps, seed):
+    """sample_gibbs on a tv1d posterior without singleton classes, written
+    out with the general piece-table kernel and padded end kinks."""
+    layout = gibbs_layout(post)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    lam, n = post.prior.lam, post.dim
+    u = np.zeros(n)
+    rho = np.append(post.data.values - post.operator.apply(u), 0.0)
+    out = []
+    for _ in range(n_sweeps):
+        uu = rng.random((n, 2))
+        for k0, k1 in zip(layout.bounds[:-1], layout.bounds[1:]):
+            members, idx = layout.order[k0:k1], layout.rows[k0:k1]
+            cn = layout.colnorm[k0:k1]
+            ui = u[members]
+            b = -(ui * cn + np.einsum("ij,ij->i", layout.pvals[k0:k1],
+                                      rho[idx]))
+            left = u[np.where(members > 0, members - 1, members + 1)]
+            right = u[np.where(members < n - 1, members + 1, members - 1)]
+            c = np.column_stack([np.where(members > 0, lam, 0.0),
+                                 np.where(members < n - 1, lam, 0.0)])
+            d = np.column_stack([np.minimum(left, right),
+                                 np.maximum(left, right)])
+            t = _pg_draw(_pg_table(0.5 * cn, b, c, d), np.arange(members.size),
+                         uu[members, 0], uu[members, 1])
+            rho[idx] -= (t - ui)[:, None] * layout.vals[k0:k1]
+            u[members] = t
+        out.append(u.copy())
+    return np.array(out)
+
+
+def test_chromatic_tv_chain_is_the_table_kernel_chain():
+    n, m = 48, 12
+    rng = np.random.default_rng(67)
+    post = Posterior(interval_average_1d(grid1d(n), m),
+                     Signal(grid1d(m), rng.standard_normal(m)),
+                     GaussianNoiseModel.from_sigma(0.3, m),
+                     make_tv1d_prior(2.0))
+    assert min(c.size for c in _classes(post)) > 1
+    chain = sample_gibbs(post, 60, seed=71)
+    assert _same_bits(chain.samples, _reference_tv_chain(post, 60, 71))
 
 
 def test_chromatic_tv_ends_match_quadrature_cm():
