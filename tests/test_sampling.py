@@ -207,9 +207,9 @@ def test_tv_draw_is_the_table_kernel_bitwise():
         a = np.exp(rng.uniform(-6.0, 10.0, size))
         b = rng.choice([-1.0, 1.0], size) * np.exp(rng.uniform(-6.0, 12.0,
                                                                size))
-        # TV weights (lam on both kinks) or, every other batch, any weights
-        c1, c2 = (np.full((2, size), np.exp(rng.uniform(-3.0, 6.0))) if batch % 2
-                  else np.exp(rng.uniform(-3.0, 6.0, (2, size))))
+        # any weights or, every other batch, TV weights (lam on both)
+        c1, c2 = np.exp(rng.uniform(-3.0, 6.0, (2, size)) if batch % 2
+                        else np.full((2, size), rng.uniform(-3.0, 6.0)))
         d = np.sort(rng.choice([-1.0, 1.0], (2, size))
                     * np.exp(rng.uniform(-8.0, 4.0, (2, size))), axis=0)
         # ends of the chain: a weight-0 pad at the other kink's location
@@ -245,27 +245,6 @@ def test_tv_draw_matches_scalar_draw():
             _pg_draw_scalar(a, b, ((c1, d1), (c2, d2)), u1, u2), abs=1e-12)
 
 
-def test_tv_draw_deep_tails():
-    u1 = np.array([0.0, 1e-300, 0.3, 0.5, 0.9, 1.0 - 2.0**-53])
-    u2 = np.array([0.0, 1e-300, 0.2, 0.5, 0.97, 1.0 - 2.0**-53])
-    u1, u2 = (np.repeat(u1, u2.size), np.tile(u2, u1.size))
-    ones = np.ones(u1.size)
-    # a = 1, so sigma = 1/sqrt(2). Kinks at -0.5 and 0.5 of weight 100 with
-    # b = 100 put the piece centres at 50, -50 and -150, so each piece lies
-    # at least 70 standard deviations into its Gaussian's tail; two pieces
-    # hold comparable mass. Weights 100 and 1e4 with b = 1 put them 7000
-    # out, and pieces 1 and 2 hold the mass. Both cases draw from two pieces.
-    mid = np.array([[-0.5], [0.5]]) * ones
-    for b, c1, c2 in ((100.0, 100.0, 100.0), (1.0, 100.0, 1e4)):
-        p = _tv_tail_pieces(b * ones, c1 * ones, c2 * ones, mid, u1, u2)
-        assert np.unique(p).size == 2
-    # an end (weight-0 pad) with the Gaussian centre 5e4 from the kink:
-    # the other piece's relative mass underflows, so every draw lands here
-    p = _tv_tail_pieces(1e5 * ones, 0.0 * ones, 10.0 * ones,
-                        np.full_like(mid, 0.5), u1, u2)
-    assert np.all(p == 0)
-
-
 def _tv_tail_pieces(b, c1, c2, d, u1, u2):
     """Draws of _tv_draw at a = 1, checked to be finite, bit for bit the
     table kernel's, and inside the piece that u1 selects. Every piece of
@@ -285,6 +264,27 @@ def _tv_tail_pieces(b, c1, c2, d, u1, u2):
     rows = np.arange(size)
     assert np.all(table.lo[rows, p] <= t) and np.all(t <= table.hi[rows, p])
     return p
+
+
+def test_tv_draw_deep_tails():
+    u1 = np.array([0.0, 1e-300, 0.3, 0.5, 0.9, 1.0 - 2.0**-53])
+    u2 = np.array([0.0, 1e-300, 0.2, 0.5, 0.97, 1.0 - 2.0**-53])
+    u1, u2 = (np.repeat(u1, u2.size), np.tile(u2, u1.size))
+    ones = np.ones(u1.size)
+    # a = 1, so sigma = 1/sqrt(2). Kinks at -0.5 and 0.5 of weight 100 with
+    # b = 100 put the piece centres at 50, -50 and -150, so each piece lies
+    # at least 70 standard deviations into its Gaussian's tail; two pieces
+    # hold comparable mass. Weights 100 and 1e4 with b = 1 put them 7000
+    # out, and pieces 1 and 2 hold the mass. Both cases draw from two pieces.
+    mid = np.array([[-0.5], [0.5]]) * ones
+    for b, c1, c2 in ((100.0, 100.0, 100.0), (1.0, 100.0, 1e4)):
+        p = _tv_tail_pieces(b * ones, c1 * ones, c2 * ones, mid, u1, u2)
+        assert np.unique(p).size == 2
+    # an end (weight-0 pad) with the Gaussian centre 5e4 from the kink:
+    # the other piece's relative mass underflows, so every draw lands here
+    p = _tv_tail_pieces(1e5 * ones, 0.0 * ones, 10.0 * ones,
+                        np.full_like(mid, 0.5), u1, u2)
+    assert np.all(p == 0)
 
 
 def test_piecewise_gaussian_rejects_nonnormalizable():
