@@ -8,7 +8,12 @@ equations by CG. The u-step matrix K^T P K + mu Phi^T Phi is the same in
 every outer iteration, so where its structure is known it is factored
 once per solve (banded Cholesky for TV, a DCT diagonalisation for the
 reflective blur) and applied exactly; elsewhere each u-step runs CG.
-Every result carries the subgradient certificate
+The d- and b-updates are over-relaxed with alpha = 1.5 (Boyd et al.,
+"Distributed optimization and statistical learning via ADMM", 2011, sec.
+3.4.3); the fixed point and the stopping tests are unchanged. Each
+iterate's energy takes its prior term from the Phi u of the shrink step
+and its data term from one K apply, and equals neg_log_posterior bit for
+bit. Every result carries the subgradient certificate
 
     p_hat = -(1/lam) K^T P (K u_hat - f),
 
@@ -36,6 +41,10 @@ _log = logging.getLogger(__name__)
 # subdifferential test; coarser than machine-level so solver ripple on
 # truly-zero coefficients is not misread as an active sign constraint
 _ZERO_COEF_RTOL = 1e-6
+
+# over-relaxation alpha: the d- and b-updates read
+# alpha Phi u + (1 - alpha) d_prev in place of Phi u
+_RELAXATION = 1.5
 
 
 @dataclass(frozen=True)
@@ -125,7 +134,7 @@ def _banded_tv_solver(post: Posterior, mu: float) -> Callable:
     estimate is then not unique, and the solve is refused.
     """
     import scipy.sparse as sp
-    from scipy.linalg import cho_solve_banded, cholesky_banded
+    from scipy.linalg import cholesky_banded, get_lapack_funcs
 
     k = post.operator
     n = k.in_dim
@@ -145,7 +154,16 @@ def _banded_tv_solver(post: Posterior, mu: float) -> Callable:
     ab = np.zeros((band + 1, n))
     ab[band + upper.row - upper.col, upper.col] = upper.data
     factor = cholesky_banded(ab)
-    return lambda rhs: cho_solve_banded((factor, False), rhs)
+    # LAPACK directly: cho_solve_banded re-checks the fixed factor for
+    # non-finite values on every call
+    pbtrs, = get_lapack_funcs(("pbtrs",), (factor,))
+
+    def solve(rhs):
+        u, info = pbtrs(factor, rhs)
+        if info != 0:
+            raise ValueError(f"pbtrs: illegal value in argument {-info}")
+        return u
+    return solve
 
 
 def _exact_u_step(post: Posterior, mu: float,
@@ -195,8 +213,9 @@ def solve_map(post: Posterior, opts: Optional[SolverOptions] = None) -> MapResul
     Gaussian priors go through a single CG solve of the normal equations;
     all other priors run the alternating splitting scheme, with an exact
     u-step where :func:`_exact_u_step` finds one. Non-convergence
-    within ``max_iters`` is reported via ``converged=False`` and a logged
-    warning, with the result still returned.
+    within ``max_iters``, or a non-finite iterate, is reported via
+    ``converged=False`` and a logged warning, with the best finite
+    iterate still returned.
     """
     opts = opts or SolverOptions()
     k = post.operator
@@ -252,6 +271,16 @@ def solve_map(post: Posterior, opts: Optional[SolverOptions] = None) -> MapResul
         def apply_a(u):
             return kt_p_k(u) + mu * phi_adj(phi_apply(u))
 
+    # the prior term of the energy from pu = Phi u, which the shrink step
+    # needs anyway; the same arithmetic as prior.energy(u)
+    if identity_split:
+        prior_energy = lambda u, pu: prior.energy(u)
+    elif prior.weights is not None:
+        prior_energy = lambda u, pu: float(prior.weights @ np.abs(pu))
+    else:
+        prior_energy = lambda u, pu: float(np.abs(pu).sum())
+    p_diag = post.noise.precision_diag
+
     exact = _exact_u_step(post, mu, phi_orthonormal)
     cg_iterations = 0
 
@@ -274,12 +303,19 @@ def solve_map(post: Posterior, opts: Optional[SolverOptions] = None) -> MapResul
             u, its = _cg(apply_a, rhs, u_prev, opts.cg_tol, opts.cg_max_iters)
             cg_iterations += its
         pu = phi_apply(u)
+        relaxed = _RELAXATION * pu + (1.0 - _RELAXATION) * d
         if identity_split:
-            d = prior.prox_fn(pu + b, lam / mu)
+            d = prior.prox_fn(relaxed + b, lam / mu)
         else:
-            d = np.sign(pu + b) * np.maximum(np.abs(pu + b) - thresh, 0.0)
-        b = b + pu - d
-        energy = _model.neg_log_posterior(post, u)
+            v = relaxed + b
+            d = np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
+        b = b + relaxed - d
+        # neg_log_posterior(post, u), term for term
+        r = f - k.apply(u)
+        energy = 0.5 * float(r @ (p_diag * r)) + lam * prior_energy(u, pu)
+        if not np.isfinite(energy):
+            _log.warning("solve_map: non-finite iterate at iteration %d", it)
+            break
         if energy < e_best:
             e_best = energy
             u_best = u.copy()
@@ -302,7 +338,7 @@ def solve_map(post: Posterior, opts: Optional[SolverOptions] = None) -> MapResul
 
     if not converged:
         _log.warning("solve_map: no convergence within %d iterations "
-                     "(last residual %.3e)", opts.max_iters, residual)
+                     "(last residual %.3e)", it, residual)
     result = MapResult(u_best, subgradient_certificate(post, u_best), it, e_best,
                        0.0, converged, np.asarray(energies),
                        split_coefficients=d.copy(), cg_iterations=cg_iterations)

@@ -15,7 +15,6 @@ from functools import reduce
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .grids import Grid
 
@@ -179,6 +178,9 @@ def gaussian_blur(grid: Grid, kernel_sigma: float) -> LinearOperator:
     theirs. While the kernel radius is below every grid side, the
     orthonormal DCT-II diagonalises it (``dct_eigenvalues``).
     """
+    # imported here so scenarios without a blur do not load scipy.ndimage
+    from scipy.ndimage import convolve1d
+
     if kernel_sigma <= 0:
         raise ValueError(f"kernel_sigma must be positive, got {kernel_sigma}")
     shape = grid.shape

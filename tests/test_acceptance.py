@@ -140,15 +140,19 @@ def _scalar_quad_expect(fn):
 
 def test_accept_02_scalar_l1_oracles(scalar_l1):
     post, res, chain = scalar_l1
-    # brute-force grid scan then derivative-free refinement of the energy
+    # brute-force grid scan then derivative-free refinement of the energy,
+    # evaluated exactly: the float energy is flat to float64 within about
+    # sqrt(eps) of the minimum
     from bregbayes.model import neg_log_posterior
+    from test_map_solver import exact_scalar_energy
 
     grid_pts = np.linspace(-6.0, 8.0, 14001)
     energies = [neg_log_posterior(post, [t]) for t in grid_pts]
     lo, hi = grid_pts[int(np.argmin(energies))] + np.array([-2e-3, 2e-3])
+    energy = exact_scalar_energy(post)
     for _ in range(200):
         m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-        if neg_log_posterior(post, [m1]) <= neg_log_posterior(post, [m2]):
+        if energy(m1) <= energy(m2):
             hi = m2
         else:
             lo = m1

@@ -1,6 +1,10 @@
 import json
 import logging
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,3 +238,13 @@ def test_cli_dilemma_rejects_non_tv(tmp_path):
     path = _write(tmp_path, TINY_DEBLUR)
     assert main(["dilemma", str(path), "--out-dir",
                  str(tmp_path / "o")]) == 2
+
+
+def test_cli_import_loads_no_ndimage():
+    # only the blur needs scipy.ndimage; the CT and TV commands skip it
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    code = ("import sys, bregbayes.cli; "
+            "sys.exit('scipy.ndimage' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0

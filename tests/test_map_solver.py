@@ -1,8 +1,11 @@
 import dataclasses
 import logging
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from bregbayes.grids import Signal, grid1d, grid2d
 from bregbayes.map_solver import (MapResult, SolverOptions, _banded_tv_solver,
@@ -12,7 +15,7 @@ from bregbayes.model import GaussianNoiseModel, Posterior, neg_log_posterior
 from bregbayes.operators import (from_matrix, gaussian_blur, haar_transform,
                                  interval_average_1d)
 from bregbayes.priors import (make_besov_prior, make_gaussian_prior,
-                              make_l1_prior, make_tv1d_prior)
+                              make_l1_prior, make_power_prior, make_tv1d_prior)
 
 RNG = np.random.default_rng(321)
 
@@ -22,6 +25,25 @@ def _posterior(k, f, sigma, prior):
     m = k.shape[0]
     return Posterior(from_matrix(k), Signal(grid1d(m), f),
                      GaussianNoiseModel.from_sigma(sigma, m), prior)
+
+
+def exact_scalar_energy(post):
+    """E(t) of a one-dimensional posterior, exactly, as a Fraction.
+
+    Near its minimum the float energy is too flat for float64 to tell
+    points apart closer than about sqrt(eps); exact arithmetic on the
+    posterior's own K, f, precision and lambda has no such floor.
+    """
+    k = Fraction(float(post.operator.apply(np.ones(1))[0]))
+    f = Fraction(float(post.data.values[0]))
+    prec = Fraction(float(post.noise.precision_diag[0]))
+    lam = Fraction(post.prior.lam)
+    assert post.prior.kind == "l1" and post.prior.transform is None
+
+    def energy(t):
+        t = Fraction(float(t))
+        return (f - k * t) ** 2 * prec / 2 + lam * abs(t)
+    return energy
 
 
 def _ternary_min(fn, lo, hi, iters=300):
@@ -58,8 +80,8 @@ def test_scalar_l1_soft_threshold():
     res = solve_map(post)
     assert res.converged
     assert res.estimate[0] == pytest.approx(1.5, abs=1e-8)
-    # independent 1D oracle: ternary search on the posterior energy
-    oracle = _ternary_min(lambda t: neg_log_posterior(post, [t]), -10.0, 10.0)
+    # independent 1D oracle: ternary search on the exact posterior energy
+    oracle = _ternary_min(exact_scalar_energy(post), -10.0, 10.0)
     assert res.estimate[0] == pytest.approx(oracle, abs=1e-8)
 
 
@@ -176,7 +198,7 @@ def test_l1_non_orthonormal_transform_solves_to_optimality():
 
 
 @pytest.mark.parametrize("case", ["interval_average_255", "dense_12"])
-def test_banded_tv_u_step_matches_dense_solve(case):
+def test_banded_tv_u_step_matches_dense_solve(case, monkeypatch):
     # (K^T P K + mu D^T D) u = rhs, banded factor against a dense solve,
     # with a non-constant noise precision
     rng = np.random.default_rng(41)
@@ -196,8 +218,31 @@ def test_banded_tv_u_step_matches_dense_solve(case):
     a = kd.T @ (prec[:, None] * kd) + mu * dd.T @ dd
     rhs = rng.standard_normal(n)
     dense = np.linalg.solve(a, rhs)
+    factors = []
+
+    def kept_factor(ab):
+        factors.append(cholesky_banded(ab))
+        return factors[-1]
+
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", kept_factor)
     banded = _banded_tv_solver(post, mu)(rhs)
     assert np.abs(banded - dense).max() <= 1e-12 * np.abs(dense).max()
+    # the LAPACK pbtrs call is scipy's banded Cholesky solve on that factor
+    reference = cho_solve_banded((factors[0], False), rhs)
+    assert np.abs(banded - reference).max() <= 1e-14 * np.abs(reference).max()
+
+
+def test_non_finite_iterate_ends_the_solve_unconverged(caplog):
+    n = 12
+    k = from_matrix(np.random.default_rng(44).standard_normal((n, n)))
+    k = dataclasses.replace(k, adjoint_apply=lambda v: np.full(n, np.nan))
+    post = Posterior(k, Signal(grid1d(n), np.ones(n)),
+                     GaussianNoiseModel.from_sigma(1.0, n), make_tv1d_prior(0.3))
+    with caplog.at_level(logging.WARNING, logger="bregbayes.map_solver"):
+        res = solve_map(post)
+    assert not res.converged
+    assert res.iterations == 1
+    assert "non-finite iterate" in caplog.text
 
 
 def test_tv_with_operator_annihilating_constants_is_refused():
@@ -239,6 +284,37 @@ def test_blur_wider_than_the_grid_solves_by_cg():
     assert res.converged
     assert res.cg_iterations > 0
     assert res.residual_norm <= 1e-6
+
+
+def _energy_case(case, rng):
+    n = 16
+    k = rng.standard_normal((n + 2, n)) + np.eye(n + 2, n)
+    f = rng.standard_normal(n + 2)
+    if case == "pixel_l1":
+        prior = make_l1_prior(0.5)
+    elif case == "l1_non_orthonormal":
+        phi = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        prior = make_l1_prior(0.5, from_matrix(phi))
+    elif case == "tv":
+        prior = make_tv1d_prior(0.5)
+    elif case == "besov":
+        prior = make_besov_prior(0.5, rng.uniform(0.5, 2.0, n),
+                                 haar_transform(grid1d(n)))
+    else:
+        prior = make_power_prior(0.5, 1.5)  # split on d = u, through its prox
+    return _posterior(k, f, 0.8, prior)
+
+
+@pytest.mark.parametrize("case", ["pixel_l1", "l1_non_orthonormal", "tv",
+                                  "besov", "prox_split"])
+def test_final_energy_is_the_posterior_energy_bitwise(case):
+    # the loop computes its energies from the Phi u of the shrink step and
+    # one K apply; they must equal neg_log_posterior exactly
+    post = _energy_case(case, np.random.default_rng(45))
+    res = solve_map(post, SolverOptions(max_iters=500))
+    assert res.iterations > 1 and np.abs(res.estimate).max() > 0
+    assert res.final_energy == neg_log_posterior(post, res.estimate)
+    assert res.energy_trace[-1] == res.final_energy
 
 
 def test_monotone_energy_decrease():
