@@ -50,9 +50,7 @@ _SCHEMA = {
               "rule_constant": _parse_float, "s_curve_target": _parse_auto_float,
               "s_curve_bracket": _parse_two_floats, "s_curve_tol": _parse_float},
     "solver": {"penalty": _parse_auto_float, "max_iters": _parse_int,
-               "tol_rel_change": _parse_float, "tol_residual": _parse_float,
-               "tol_split_gap": _parse_float, "cg_tol": _parse_float,
-               "cg_max_iters": _parse_int},
+               "tol_residual": _parse_float, "cg_tol": _parse_float},
     "sampler": {"samples": _parse_int, "burn_in": _parse_auto_int,
                 "thinning": _parse_int, "step": _parse_float,
                 "chains": _parse_int},
@@ -93,11 +91,8 @@ def parse_config_text(text: str) -> ScenarioConfig:
     solver = SolverOptions(
         penalty=get("solver", "penalty", None),
         max_iters=get("solver", "max_iters", 3000),
-        tol_rel_change=get("solver", "tol_rel_change", 1e-9),
         tol_residual=get("solver", "tol_residual", 1e-4),
-        tol_split_gap=get("solver", "tol_split_gap", 1e-6),
         cg_tol=get("solver", "cg_tol", 1e-10),
-        cg_max_iters=get("solver", "cg_max_iters", 500),
     )
     default_shape = {"deblur2d": (64, 64), "tv1d": (63,),
                      "ct2d": (64, 64)}[name]

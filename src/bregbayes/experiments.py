@@ -256,9 +256,9 @@ def s_curve_select_lambda(posterior_factory: Callable[[float], Posterior],
     """Bisection on lambda until the MAP coefficient sparsity hits the target.
 
     Returns lambda and the evaluated solves ``{lambda, sparsity,
-    iterations, converged}`` in evaluation order. The midpoints depend
-    only on how each midpoint's sparsity compares with the target, so
-    the bracket ends are solved only when no midpoint comes within
+    iterations, residual, converged}`` in evaluation order. The midpoints
+    depend only on how each midpoint's sparsity compares with the target,
+    so the bracket ends are solved only when no midpoint comes within
     ``tol``; raises when they do not straddle the target, when the
     evaluated sparsities are not non-increasing in lambda, or when a
     solve does not converge.
@@ -268,7 +268,7 @@ def s_curve_select_lambda(posterior_factory: Callable[[float], Posterior],
     lo, hi = bracket
     if not 0 < lo < hi:
         raise ValueError("bad bracket")
-    solver = solver or SolverOptions(tol_rel_change=1e-6, max_iters=400)
+    solver = solver or SolverOptions(max_iters=400)
     evaluated: list[dict] = []
 
     def sparsity_at(lam: float) -> float:
@@ -281,6 +281,7 @@ def s_curve_select_lambda(posterior_factory: Callable[[float], Posterior],
         s = map_sparsity(post, res)
         evaluated.append({"lambda": lam, "sparsity": s,
                           "iterations": res.iterations,
+                          "residual": res.residual_norm,
                           "converged": res.converged})
         curve = sorted((e["lambda"], e["sparsity"]) for e in evaluated)
         if any(s2 > s1 for (_, s1), (_, s2) in zip(curve, curve[1:])):
@@ -449,8 +450,7 @@ def resolve_lambda(cfg: ScenarioConfig, parts: ScenarioParts,
         target = coefficient_sparsity(probe_prior, parts.truth_on_recon.values)
     # sparsity counting needs only moderate accuracy per solve
     search_solver = replace(scenario_solver_options(cfg, 1.0, factory(1.0)),
-                            tol_rel_change=1e-6, max_iters=400,
-                            tol_residual=1e-3, trace_path=None)
+                            max_iters=400, tol_residual=1e-3, trace_path=None)
     return s_curve_select_lambda(factory, target, cfg.s_curve_bracket,
                                  cfg.s_curve_tol, solver=search_solver)
 
@@ -530,8 +530,10 @@ def run_experiment(cfg: ScenarioConfig, verify: bool = False,
     With ``verify=True`` the full check suite runs on the merged chain:
     both optimality probes, the two expected-error inequalities, the
     MAP-centered energy identity, and the averaged CM optimality residual.
-    With ``with_cm=False`` no chain is sampled and the record carries the
-    MAP metrics only; verification needs the chains, so it is refused.
+    It is refused when the MAP solve did not converge, since the Bregman
+    checks rest on its certificate. With ``with_cm=False`` no chain is
+    sampled and the record carries the MAP metrics only; verification
+    needs the chains, so it is refused.
     """
     if verify and not with_cm:
         raise ValueError("verification needs the CM chains")
@@ -547,6 +549,10 @@ def run_experiment(cfg: ScenarioConfig, verify: bool = False,
     lam, search = resolve_lambda(cfg, parts, data)
     post = assemble_posterior(parts, data, lam)
     map_result = solve_map(post, scenario_solver_options(cfg, lam, post))
+    if verify and not map_result.converged:
+        raise ValueError(f"verification needs a converged MAP: the solve "
+                         f"stopped after {map_result.iterations} iterations "
+                         f"(residual {map_result.residual_norm:.3e})")
     truth = parts.truth_on_recon.values
     prior = post.prior
     metrics = {

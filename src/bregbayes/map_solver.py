@@ -10,21 +10,24 @@ once per solve (banded Cholesky for TV, a DCT diagonalisation for the
 reflective blur) and applied exactly; elsewhere each u-step runs CG.
 The d- and b-updates are over-relaxed with alpha = 1.5 (Boyd et al.,
 "Distributed optimization and statistical learning via ADMM", 2011, sec.
-3.4.3); the fixed point and the stopping tests are unchanged. Each
-iterate's energy takes its prior term from the Phi u of the shrink step
-and its data term from one K apply, and equals neg_log_posterior bit for
-bit. Every result carries the subgradient certificate
+3.4.3); the fixed point is unchanged. Each iterate's energy takes its
+prior term from the Phi u of the shrink step and its data term from one
+K apply, and equals neg_log_posterior bit for bit. Every result carries
+the subgradient certificate
 
     p_hat = -(1/lam) K^T P (K u_hat - f),
 
-which must lie in the subdifferential of J at the estimate.
+which must lie in the subdifferential of J at the estimate. The one
+stopping rule is the distance of p_hat from that subdifferential, the
+KKT residual (Boyd et al. 2011, sec. 3.3): a result has converged
+exactly when it is at most ``tol_residual``.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -46,6 +49,9 @@ _ZERO_COEF_RTOL = 1e-6
 # alpha Phi u + (1 - alpha) d_prev in place of Phi u
 _RELAXATION = 1.5
 
+# CG iteration cap of a u-step; the Gaussian solve allows max(this, 10 n)
+_CG_MAX_ITERS = 500
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -53,22 +59,18 @@ class SolverOptions:
 
     penalty: Optional[float] = None  # splitting weight mu; default: lam
     max_iters: int = 2000
-    tol_rel_change: float = 1e-8
     tol_residual: float = 1e-6
-    tol_split_gap: float = 1e-6  # max |Phi u - d| allowed at convergence
     cg_tol: float = 1e-10
-    cg_max_iters: int = 500
     trace_path: Optional[str] = None
 
     def __post_init__(self):
         if self.penalty is not None and self.penalty <= 0:
             raise ValueError("penalty must be positive")
-        for name in ("tol_rel_change", "tol_residual", "tol_split_gap",
-                     "cg_tol"):
+        for name in ("tol_residual", "cg_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.max_iters < 1 or self.cg_max_iters < 1:
-            raise ValueError("iteration limits must be at least 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -212,12 +214,51 @@ def solve_map(post: Posterior, opts: Optional[SolverOptions] = None) -> MapResul
 
     Gaussian priors go through a single CG solve of the normal equations;
     all other priors run the alternating splitting scheme, with an exact
-    u-step where :func:`_exact_u_step` finds one. Non-convergence
-    within ``max_iters``, or a non-finite iterate, is reported via
-    ``converged=False`` and a logged warning, with the best finite
-    iterate still returned.
+    u-step where :func:`_exact_u_step` finds one. The solve has converged
+    exactly when the KKT residual of the returned estimate is at most
+    ``tol_residual``; otherwise ``converged=False`` and a warning is
+    logged, with the best finite iterate still returned.
     """
     opts = opts or SolverOptions()
+    if post.prior.kind == "gaussian":
+        u, cg_iterations = _gaussian_solve(post, opts)
+        energy = _model.neg_log_posterior(post, u)
+        iterations, energies, residuals = cg_iterations, [energy], [np.nan]
+        split = None
+    else:
+        (u, energy, iterations, energies, residuals, split,
+         cg_iterations) = _split_bregman(post, opts)
+    residual = _residual_norm(post, u)
+    converged = residual <= opts.tol_residual
+    if not converged:
+        _log.warning("solve_map: no convergence within %d iterations "
+                     "(residual %.3e)", iterations, residual)
+    if residuals:
+        residuals[-1] = residual
+    _write_trace(opts.trace_path, energies, residuals)
+    return MapResult(u, subgradient_certificate(post, u), iterations, energy,
+                     residual, converged, np.asarray(energies),
+                     split_coefficients=split, cg_iterations=cg_iterations)
+
+
+def _gaussian_solve(post: Posterior, opts: SolverOptions):
+    """(estimate, CG iterations) from the normal equations."""
+    k, prec, prior = post.operator, post.noise.apply_precision, post.prior
+    l_mat = prior.l_matrix
+    lt_l = None if l_mat is None else l_mat.T @ l_mat
+    apply_a = lambda u: (k.adjoint_apply(prec(k.apply(u)))
+                         + prior.beta * (u if lt_l is None else lt_l @ u))
+    return _cg(apply_a, k.adjoint_apply(prec(post.data.values)),
+               np.zeros(k.in_dim), opts.cg_tol,
+               max(_CG_MAX_ITERS, 10 * k.in_dim))
+
+
+def _split_bregman(post: Posterior, opts: SolverOptions):
+    """The over-relaxed splitting loop, up to its raw outputs.
+
+    Stops at max_iters, at a non-finite iterate, or when the best
+    iterate's KKT residual, tested every 10 iterations, meets tol_residual.
+    """
     k = post.operator
     prior = post.prior
     lam = prior.lam
@@ -232,25 +273,6 @@ def solve_map(post: Posterior, opts: Optional[SolverOptions] = None) -> MapResul
         return k.adjoint_apply(prec(k.apply(u)))
 
     rhs_data = k.adjoint_apply(prec(f))
-
-    if prior.kind == "gaussian":
-        beta = prior.beta
-        l_mat = prior.l_matrix
-        if l_mat is None:
-            apply_a = lambda u: kt_p_k(u) + beta * u
-        else:
-            lt_l = l_mat.T @ l_mat
-            apply_a = lambda u: kt_p_k(u) + beta * (lt_l @ u)
-        u, its = _cg(apply_a, rhs_data, np.zeros(n), opts.cg_tol,
-                     max(opts.cg_max_iters, 10 * n))
-        energy = _model.neg_log_posterior(post, u)
-        result = MapResult(u, subgradient_certificate(post, u), its, energy,
-                           0.0, True, np.array([energy]), cg_iterations=its)
-        result = _with_residual(post, result)
-        _write_trace(opts.trace_path, result.energy_trace,
-                     [result.residual_norm])
-        return result
-
     phi, weights, identity_split, phi_orthonormal = _split_structure(prior, n)
     mu = opts.penalty if opts.penalty is not None else lam
     thresh = (lam / mu) * weights if weights is not None else None
@@ -291,16 +313,13 @@ def solve_map(post: Posterior, opts: Optional[SolverOptions] = None) -> MapResul
     e_best = _model.neg_log_posterior(post, u)
     energies = []
     residuals = []
-    converged = False
-    residual = np.inf
     it = 0
     for it in range(1, opts.max_iters + 1):
-        u_prev = u
         rhs = rhs_data + mu * phi_adj(d - b)
         if exact is not None:
             u = exact(rhs)
         else:
-            u, its = _cg(apply_a, rhs, u_prev, opts.cg_tol, opts.cg_max_iters)
+            u, its = _cg(apply_a, rhs, u, opts.cg_tol, _CG_MAX_ITERS)
             cg_iterations += its
         pu = phi_apply(u)
         relaxed = _RELAXATION * pu + (1.0 - _RELAXATION) * d
@@ -321,36 +340,11 @@ def solve_map(post: Posterior, opts: Optional[SolverOptions] = None) -> MapResul
             u_best = u.copy()
         energies.append(e_best)
         residuals.append(np.nan)
-        change = np.linalg.norm(u - u_prev)
-        scale = max(np.linalg.norm(u_prev), np.linalg.norm(u), 1e-30)
-        if change <= opts.tol_rel_change * scale:
-            # iterate stalls only count once the splitting is consistent
-            gap = float(np.abs(pu - d).max())
-            if gap <= opts.tol_split_gap * max(1.0, float(np.abs(pu).max())):
-                converged = True
-                break
         if it % 10 == 0:
-            residual = _residual_norm(post, u_best)
-            residuals[-1] = residual
-            if residual <= opts.tol_residual:
-                converged = True
+            residuals[-1] = _residual_norm(post, u_best)
+            if residuals[-1] <= opts.tol_residual:
                 break
-
-    if not converged:
-        _log.warning("solve_map: no convergence within %d iterations "
-                     "(last residual %.3e)", it, residual)
-    result = MapResult(u_best, subgradient_certificate(post, u_best), it, e_best,
-                       0.0, converged, np.asarray(energies),
-                       split_coefficients=d.copy(), cg_iterations=cg_iterations)
-    result = _with_residual(post, result)
-    if residuals:
-        residuals[-1] = result.residual_norm
-    _write_trace(opts.trace_path, result.energy_trace, residuals)
-    return result
-
-
-def _with_residual(post: Posterior, result: MapResult) -> MapResult:
-    return replace(result, residual_norm=_residual_norm(post, result.estimate))
+    return u_best, e_best, it, energies, residuals, d.copy(), cg_iterations
 
 
 def _box_violation(eta: np.ndarray, coef: np.ndarray, w: np.ndarray) -> float:

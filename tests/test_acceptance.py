@@ -51,7 +51,7 @@ def _merged(chains):
 @pytest.fixture(scope="module")
 def scalar_l1():
     post = _post([[1.0]], [2.0], 1.0, make_l1_prior(0.5))
-    res = solve_map(post, SolverOptions(tol_rel_change=1e-13, max_iters=4000))
+    res = solve_map(post, SolverOptions(max_iters=4000))
     chain = sample_gibbs(post, 120_000, burn_in=1200, seed=17)
     return post, res, chain
 
@@ -64,7 +64,7 @@ def multi_l1():
     truth = rng.standard_normal(n) * (rng.random(n) < 0.4)
     f = k @ truth + 0.3 * rng.standard_normal(n + 2)
     post = _post(k, f, 0.5, make_l1_prior(1.0))
-    res = solve_map(post, SolverOptions(tol_rel_change=1e-12, max_iters=6000))
+    res = solve_map(post, SolverOptions(max_iters=6000))
     chain = sample_gibbs(post, 40_000, burn_in=800, seed=23)
     return post, res, chain
 
@@ -75,8 +75,7 @@ def deblur_record():
         name="deblur2d", seed=5, recon_shape=(64, 64), truth_factor=4,
         noise_fraction=0.1, lam=6.0, spots=14, kernel_sigma=0.015,
         spot_radius_range=(0.01, 0.02), n_samples=500, burn_in=100, n_chains=2,
-        solver=SolverOptions(max_iters=2000, tol_rel_change=1e-9,
-                             tol_residual=1e-4))
+        solver=SolverOptions(max_iters=2000, tol_residual=1e-4))
     return run_experiment(cfg)
 
 
@@ -86,8 +85,7 @@ def tv_record():
         name="tv1d", seed=11, recon_shape=(63,), truth_factor=4,
         noise_fraction=0.1, lam=2.0, data_size=30, sweep=(63, 255, 1023, 4095),
         n_samples=600, burn_in=60, n_chains=2,
-        solver=SolverOptions(max_iters=4000, tol_rel_change=1e-9,
-                             tol_residual=1e-3))
+        solver=SolverOptions(max_iters=4000, tol_residual=1e-3))
     return run_experiment(cfg)
 
 
@@ -98,8 +96,7 @@ def ct_record():
         noise_fraction=0.01, lambda_rule="s_curve", s_curve_target=0.11,
         s_curve_bracket=(10.0, 5000.0), s_curve_tol=0.02, angles=15, bins=95,
         n_samples=2000, burn_in=400, rwm_step=2.4, n_chains=2,
-        solver=SolverOptions(max_iters=1200, tol_rel_change=1e-8,
-                             tol_residual=1e-4, cg_tol=1e-8))
+        solver=SolverOptions(max_iters=1200, tol_residual=1e-4, cg_tol=1e-8))
     return run_experiment(cfg)
 
 
@@ -275,8 +272,7 @@ def test_accept_07_tv_dilemma():
         name="tv1d", seed=11, recon_shape=(63,), truth_factor=4,
         noise_fraction=0.1, lam=2.0, rule_constant=0.25, data_size=30,
         sweep=(63, 255, 1023, 4095), n_samples=500, burn_in=50, n_chains=2,
-        solver=SolverOptions(max_iters=4000, tol_rel_change=1e-9,
-                             tol_residual=1e-3))
+        solver=SolverOptions(max_iters=4000, tol_residual=1e-3))
     sqrt_rep = run_dilemma_sweep(cfg, "sqrt_n", with_cm=False)
     ranges = [lv.sup_range_map for lv in sqrt_rep.levels]
     assert all(b <= a + 1e-9 for a, b in zip(ranges, ranges[1:])), ranges

@@ -32,7 +32,7 @@ fraction = 0.05
 lambda = 2.0
 
 [solver]
-max_iters = 300
+max_iters = 1000
 tol_residual = 1e-3
 
 [sampler]
@@ -101,6 +101,13 @@ def test_config_rejects_unknown_keys():
         parse_config_text("[bogus]\nx = 1\n[scenario]\nname = tv1d\n")
     with pytest.raises(ValueError):
         parse_config_text("[scenario]\nname = warp\n")
+    # the stall-stop and CG-cap knobs are gone: the KKT residual is the
+    # one stopping rule
+    for key in ("tol_rel_change", "tol_split_gap", "cg_max_iters"):
+        text = TINY_DEBLUR.replace("[solver]\n", f"[solver]\n{key} = 1\n")
+        with pytest.raises(ValueError, match=f"unknown key '{key}' in "
+                                             r"section \[solver\]"):
+            parse_config_text(text)
 
 
 def test_config_hash_is_stable(tmp_path):
@@ -167,6 +174,7 @@ def test_cli_estimate_writes_everything(tmp_path, caplog):
     assert len(chain) == 40
     metrics = json.loads((out / "metrics.json").read_text())
     assert "rel_l2_map" in metrics and "rel_l2_cm" in metrics
+    assert metrics["map_converged"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["versions"] == {"python": platform.python_version(),
                                     "numpy": np.__version__,
@@ -194,6 +202,7 @@ def test_cli_map_samples_no_chain(tmp_path, monkeypatch):
     assert not list(out.glob("chain_*.bbchain"))
     metrics = json.loads((out / "metrics.json").read_text())
     assert "rel_l2_map" in metrics and "rel_l2_cm" not in metrics
+    assert metrics["map_converged"] and report["converged"]
     with pytest.raises(ValueError):
         experiments.run_experiment(parse_config_text(TINY_DEBLUR),
                                    verify=True, with_cm=False)
@@ -216,6 +225,7 @@ def test_cli_verify_reports(tmp_path):
     path = _write(tmp_path, TINY_DEBLUR)
     out = tmp_path / "out"
     code = main(["verify", str(path), "--out-dir", str(out)])
+    assert json.loads((out / "metrics.json").read_text())["map_converged"]
     report = json.loads((out / "verify_report.json").read_text())
     checks = {entry["check"] for entry in report}
     assert {"bayes_optimality", "map_cm_inequalities", "map_centered_energy",

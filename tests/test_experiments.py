@@ -219,6 +219,9 @@ def test_s_curve_solves_no_bracket_end_when_a_midpoint_meets_the_target():
     assert lam == solved[-1]
     assert evaluated[-1]["sparsity"] == pytest.approx(3.0 / 8.0)
     assert all(e["converged"] and e["iterations"] > 0 for e in evaluated)
+    # each entry records the KKT residual its convergence rests on
+    tol = SolverOptions().tol_residual
+    assert all(0.0 <= e["residual"] <= tol for e in evaluated)
 
 
 def test_s_curve_rejects_an_unconverged_solve():
@@ -272,14 +275,18 @@ def test_inverse_crime_guard():
     assert parts.truth_fine.grid != parts.recon_grid
 
 
+def _small_deblur_config(max_iters):
+    return ScenarioConfig(name="deblur2d", recon_shape=(16, 16), truth_factor=2,
+                          noise_fraction=0.05, lam=2.0, spots=2,
+                          kernel_sigma=0.05, seed=2, n_samples=60, n_chains=2,
+                          solver=SolverOptions(max_iters=max_iters,
+                                               tol_residual=1e-3))
+
+
 def test_run_experiment_small_deblur():
-    cfg = ScenarioConfig(name="deblur2d", recon_shape=(16, 16), truth_factor=2,
-                         noise_fraction=0.05, lam=2.0, spots=2,
-                         kernel_sigma=0.05, seed=2, n_samples=60, n_chains=2,
-                         solver=SolverOptions(max_iters=400,
-                                              tol_rel_change=1e-8,
-                                              tol_residual=1e-3))
+    cfg = _small_deblur_config(max_iters=4000)
     record = run_experiment(cfg, verify=True, n_probes=6)
+    assert record.metrics["map_converged"]
     assert record.map_result.estimate.shape == (256,)
     assert record.cm.mean.shape == (256,)
     assert 0 < record.metrics["rel_l2_map"] < 5
@@ -292,13 +299,23 @@ def test_run_experiment_small_deblur():
     np.testing.assert_array_equal(record.cm.mean, again.cm.mean)
 
 
+def test_run_experiment_verify_refuses_unconverged_map(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("an unconverged MAP must stop before sampling")
+
+    monkeypatch.setattr(experiments, "sample_posterior", no_sampling)
+    cfg = _small_deblur_config(max_iters=20)
+    with pytest.raises(ValueError, match="verification needs a converged MAP: "
+                                         "the solve stopped after 20 "
+                                         "iterations"):
+        run_experiment(cfg, verify=True, n_probes=6)
+
+
 def test_run_experiment_small_ct_rwm():
     cfg = ScenarioConfig(name="ct2d", recon_shape=(16, 16), truth_factor=2,
                          noise_fraction=0.02, lam=0.5, lambda_rule="fixed",
                          angles=7, bins=23, seed=4, n_samples=80, n_chains=2,
-                         solver=SolverOptions(max_iters=400,
-                                              tol_rel_change=1e-8,
-                                              tol_residual=1e-3))
+                         solver=SolverOptions(max_iters=400, tol_residual=1e-3))
     record = run_experiment(cfg)
     assert record.chains[0].method == "rwm"
     assert 0.01 < record.metrics["acceptance_rate"] < 0.99
@@ -310,9 +327,7 @@ def test_run_dilemma_sweep_small():
                          noise_fraction=0.1, lam=2.0, rule_constant=0.25,
                          data_size=8, sweep=(15, 31), seed=6, n_samples=80,
                          n_chains=2,
-                         solver=SolverOptions(max_iters=800,
-                                              tol_rel_change=1e-9,
-                                              tol_residual=1e-3))
+                         solver=SolverOptions(max_iters=800, tol_residual=1e-3))
     rep = run_dilemma_sweep(cfg, "sqrt_n")
     assert rep.rule == "sqrt_n"
     assert [lv.n for lv in rep.levels] == [15, 31]
@@ -328,9 +343,7 @@ def test_run_dilemma_sweep_rejects_unconverged_map():
     cfg = ScenarioConfig(name="tv1d", recon_shape=(15,), truth_factor=4,
                          noise_fraction=0.1, lam=2.0, rule_constant=0.25,
                          data_size=8, sweep=(15, 31), seed=6,
-                         solver=SolverOptions(max_iters=3,
-                                              tol_rel_change=1e-9,
-                                              tol_residual=1e-3))
+                         solver=SolverOptions(max_iters=3, tol_residual=1e-3))
     with pytest.raises(ValueError, match="rule fixed, n = 15: MAP solve did "
                                          "not converge within 3 iterations"):
         run_dilemma_sweep(cfg, "fixed", with_cm=False)

@@ -99,6 +99,24 @@ def test_gaussian_prior_matches_dense_solve():
     assert optimality_residual(post, res) <= 1e-8
 
 
+def test_gaussian_solve_stopped_short_is_unconverged(caplog):
+    # K with condition number 1e7 and beta = 1e-13: CG runs out of its
+    # 10 n iterations far from the KKT tolerance
+    n = 60
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    k = q @ np.diag(np.logspace(0, -7, n)) @ q.T
+    post = _posterior(k, rng.standard_normal(n), 1.0,
+                      make_gaussian_prior(1.0, 1e-13))
+    opts = SolverOptions()
+    with caplog.at_level(logging.WARNING, logger="bregbayes.map_solver"):
+        res = solve_map(post, opts)
+    assert res.cg_iterations == 10 * n
+    assert res.residual_norm > opts.tol_residual
+    assert not res.converged
+    assert "no convergence" in caplog.text
+
+
 def test_zero_data_gives_zero_estimate():
     n = 5
     k = RNG.standard_normal((n, n))
@@ -118,8 +136,7 @@ def test_l1_matches_coordinate_descent_oracle():
             f = RNG.standard_normal(n + 2)
             sigma, lam = 0.8, 0.4
             post = _posterior(k, f, sigma, make_l1_prior(lam))
-            res = solve_map(post, SolverOptions(tol_rel_change=1e-12,
-                                                max_iters=5000))
+            res = solve_map(post, SolverOptions(max_iters=5000))
             oracle = _l1_coordinate_descent(k, f, sigma, lam)
             np.testing.assert_allclose(res.estimate, oracle, atol=1e-6)
 
@@ -132,7 +149,7 @@ def test_tv_matches_pattern_enumeration_oracle():
     f = RNG.standard_normal(n) * 2
     lam = 0.35
     post = _posterior(np.eye(n), f, 1.0, make_tv1d_prior(lam))
-    res = solve_map(post, SolverOptions(tol_rel_change=1e-12, max_iters=8000))
+    res = solve_map(post, SolverOptions(max_iters=8000))
     oracle, _ = _tv_prox_bruteforce(f, lam)
     np.testing.assert_allclose(res.estimate, oracle, atol=1e-6)
 
@@ -144,7 +161,7 @@ def test_besov_map_certified_by_residual():
     f = RNG.standard_normal(n)
     post = _posterior(k, f, 1.0,
                       make_besov_prior(0.5, RNG.uniform(0.5, 2.0, n), w))
-    res = solve_map(post, SolverOptions(tol_rel_change=1e-11, max_iters=4000))
+    res = solve_map(post, SolverOptions(max_iters=4000))
     assert res.converged
     assert optimality_residual(post, res) < 1e-6
 
@@ -169,7 +186,7 @@ def test_besov_u_step_applies_no_wavelet():
     post = _posterior(k, RNG.standard_normal(n), 1.0,
                       make_besov_prior(0.5, RNG.uniform(0.5, 2.0, n), w))
     calls[0] = 0
-    res = solve_map(post, SolverOptions(tol_rel_change=1e-11, max_iters=4000))
+    res = solve_map(post, SolverOptions(max_iters=4000))
     assert res.converged
     assert calls[0] <= 8 * res.iterations
 
@@ -185,7 +202,7 @@ def test_l1_non_orthonormal_transform_solves_to_optimality():
     lam = 0.4
     post = _posterior(k, f, 0.8, make_l1_prior(lam, from_matrix(phi)))
     assert post.prior.prox_fn is None  # the prior saw a non-orthonormal Phi
-    opts = SolverOptions(tol_rel_change=1e-13, max_iters=20000)
+    opts = SolverOptions(max_iters=20000)
     res = solve_map(post, opts)
     assert res.converged
     assert res.residual_norm <= opts.tol_residual
@@ -267,7 +284,7 @@ def _blur_posterior(grid, sigma_kernel, lam, rng):
 
 def test_blur_u_step_exact_by_dct_agrees_with_cg():
     post = _blur_posterior(grid2d(16, 12), 0.05, 0.5, np.random.default_rng(42))
-    opts = SolverOptions(penalty=1e3, tol_rel_change=1e-12, max_iters=5000)
+    opts = SolverOptions(penalty=1e3, max_iters=5000)
     exact = solve_map(post, opts)
     op = dataclasses.replace(post.operator, dct_eigenvalues=None)
     by_cg = solve_map(dataclasses.replace(post, operator=op), opts)
@@ -311,8 +328,11 @@ def test_final_energy_is_the_posterior_energy_bitwise(case):
     # the loop computes its energies from the Phi u of the shrink step and
     # one K apply; they must equal neg_log_posterior exactly
     post = _energy_case(case, np.random.default_rng(45))
-    res = solve_map(post, SolverOptions(max_iters=500))
+    opts = SolverOptions(max_iters=500)
+    res = solve_map(post, opts)
     assert res.iterations > 1 and np.abs(res.estimate).max() > 0
+    # one stopping rule: converged means the KKT residual met the tolerance
+    assert res.converged == (res.residual_norm <= opts.tol_residual)
     assert res.final_energy == neg_log_posterior(post, res.estimate)
     assert res.energy_trace[-1] == res.final_energy
 
@@ -333,13 +353,12 @@ def test_penalty_is_not_a_model_parameter():
     k = RNG.standard_normal((n + 1, n)) + np.eye(n + 1, n)
     f = RNG.standard_normal(n + 1)
     post = _posterior(k, f, 1.0, make_l1_prior(0.6))
-    tol = 1e-9
     # the KKT stop must sit far below the 1e-7 bound: at the default 1e-6
     # two converged solves can end over 1e-6 apart
-    res1 = solve_map(post, SolverOptions(penalty=0.6, tol_rel_change=tol,
-                                         tol_residual=1e-12, max_iters=20000))
-    res2 = solve_map(post, SolverOptions(penalty=1.2, tol_rel_change=tol,
-                                         tol_residual=1e-12, max_iters=20000))
+    res1 = solve_map(post, SolverOptions(penalty=0.6, tol_residual=1e-12,
+                                         max_iters=20000))
+    res2 = solve_map(post, SolverOptions(penalty=1.2, tol_residual=1e-12,
+                                         max_iters=20000))
     scale = max(np.linalg.norm(res1.estimate), 1e-30)
     assert np.linalg.norm(res1.estimate - res2.estimate) / scale < 10 * 1e-8
 
@@ -372,7 +391,7 @@ def test_nonconvergence_is_flagged_and_returned(caplog):
     k = RNG.standard_normal((n, n)) + np.eye(n)
     post = _posterior(k, RNG.standard_normal(n), 1.0, make_l1_prior(0.2))
     with caplog.at_level(logging.WARNING, logger="bregbayes.map_solver"):
-        res = solve_map(post, SolverOptions(max_iters=2, tol_rel_change=1e-14))
+        res = solve_map(post, SolverOptions(max_iters=2))
     assert not res.converged
     assert res.estimate.shape == (n,)
     assert "no convergence" in caplog.text
@@ -395,6 +414,8 @@ def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(penalty=-1.0)
     with pytest.raises(ValueError):
-        SolverOptions(tol_rel_change=0.0)
+        SolverOptions(tol_residual=0.0)
+    with pytest.raises(ValueError):
+        SolverOptions(cg_tol=-1e-8)
     with pytest.raises(ValueError):
         SolverOptions(max_iters=0)
