@@ -10,7 +10,8 @@ Subcommands (each takes a config file plus optional --seed/--out-dir):
     dilemma    the TV lambda-scaling sweep (tv1d configs only)
 
 Every run writes a manifest listing its artifacts, the config hash and the
-python, numpy and scipy versions.
+python, numpy and scipy versions. Exit status: 0 done, 1 checks failed,
+2 usage error, 3 refused (the manifest's ``refused`` field says why).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import scipy
 
 from .bayescost import format_report_text
 from .config import load_config
-from .experiments import (ScenarioConfig, build_scenario, generate_data,
-                          run_dilemma_sweep, run_experiment)
+from .experiments import (Refused, ScenarioConfig, build_scenario,
+                          generate_data, run_dilemma_sweep, run_experiment)
 from .grids import Signal, save_signal_csv, save_signal_pgm
 from .sampling import save_chain
 
@@ -88,13 +89,15 @@ class _Writer:
         path.write_text(text if text.endswith("\n") else text + "\n")
         self.artifacts.append({"path": path.name, "kind": "text"})
 
-    def finish(self) -> None:
+    def finish(self, refused: str | None = None) -> None:
         manifest = {"config_hash": self.config_hash,
                     "versions": {"python": platform.python_version(),
                                  "numpy": np.__version__,
                                  "scipy": scipy.__version__},
                     "artifacts": sorted(self.artifacts,
                                         key=lambda a: a["path"])}
+        if refused is not None:
+            manifest["refused"] = refused
         (self.out_dir / "manifest.json").write_text(
             json.dumps(manifest, indent=2) + "\n")
 
@@ -232,7 +235,12 @@ _COMMANDS = {"scenario": _cmd_scenario, "map": _cmd_map, "cm": _cmd_cm,
 def main(argv=None) -> int:
     args = _arg_parser().parse_args(argv)
     cfg, writer = _load(args)
-    return _COMMANDS[args.command](cfg, writer)
+    try:
+        return _COMMANDS[args.command](cfg, writer)
+    except Refused as exc:  # a one-line reason: a MAP solve did not converge
+        writer.finish(refused=str(exc))
+        print(f"bregbayes {args.command}: refused: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -45,6 +45,10 @@ SCENARIOS = ("deblur2d", "tv1d", "ct2d")
 SCENARIO_PRIORS = {"deblur2d": "l1", "tv1d": "tv1d", "ct2d": "besov"}
 
 
+class Refused(ValueError):
+    """A run stopped because a MAP solve it rests on did not converge."""
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything needed to reproduce one experiment bit for bit."""
@@ -275,9 +279,9 @@ def s_curve_select_lambda(posterior_factory: Callable[[float], Posterior],
         post = posterior_factory(lam)
         res = solve_map(post, solver)
         if not res.converged:
-            raise ValueError(f"s-curve solve at lambda {lam:.6g} did not "
-                             f"converge within {res.iterations} iterations "
-                             f"(residual {res.residual_norm:.3e})")
+            raise Refused(f"s-curve solve at lambda {lam:.6g} did not "
+                          f"converge within {res.iterations} iterations "
+                          f"(residual {res.residual_norm:.3e})")
         s = map_sparsity(post, res)
         evaluated.append({"lambda": lam, "sparsity": s,
                           "iterations": res.iterations,
@@ -496,21 +500,14 @@ def sample_posterior(post: Posterior, cfg: ScenarioConfig, method: str,
     burn = cfg.burn_in if cfg.burn_in is not None else max(1, cfg.n_samples // 10)
     # the column structure (and the Gibbs colouring) is built once and
     # shared by every chain of this posterior
-    chains = []
     if method == "gibbs":
-        layout = gibbs_layout(post)
-        for c in range(cfg.n_chains):
-            chains.append(sample_gibbs(post, cfg.n_samples, burn, cfg.thinning,
-                                       seed=cfg.seed, chain_index=c,
-                                       initial=initial, layout=layout))
+        layout, sample, options = gibbs_layout(post), sample_gibbs, {}
     else:
-        layout = rwm_layout(post)
-        for c in range(cfg.n_chains):
-            chains.append(sample_rwm(post, cfg.n_samples, burn, cfg.thinning,
-                                     step=cfg.rwm_step, seed=cfg.seed,
-                                     chain_index=c, initial=initial,
-                                     layout=layout))
-    return chains
+        layout, sample = rwm_layout(post), sample_rwm
+        options = {"step": cfg.rwm_step}
+    return [sample(post, cfg.n_samples, burn, cfg.thinning, seed=cfg.seed,
+                   chain_index=c, initial=initial, layout=layout, **options)
+            for c in range(cfg.n_chains)]
 
 
 def _rel_l2(u: np.ndarray, ref: np.ndarray) -> float:
@@ -550,9 +547,9 @@ def run_experiment(cfg: ScenarioConfig, verify: bool = False,
     post = assemble_posterior(parts, data, lam)
     map_result = solve_map(post, scenario_solver_options(cfg, lam, post))
     if verify and not map_result.converged:
-        raise ValueError(f"verification needs a converged MAP: the solve "
-                         f"stopped after {map_result.iterations} iterations "
-                         f"(residual {map_result.residual_norm:.3e})")
+        raise Refused(f"verification needs a converged MAP: the solve "
+                      f"stopped after {map_result.iterations} iterations "
+                      f"(residual {map_result.residual_norm:.3e})")
     truth = parts.truth_on_recon.values
     prior = post.prior
     metrics = {
@@ -589,6 +586,7 @@ def run_experiment(cfg: ScenarioConfig, verify: bool = False,
     })
     if chains[0].acceptance_rate is not None:
         metrics["acceptance_rate"] = chains[0].acceptance_rate
+        metrics["acceptance_rates"] = [c.acceptance_rate for c in chains]
     reports = []
     if verify:
         reports = run_verification(post, map_result, merged, cm,
@@ -673,10 +671,10 @@ def run_dilemma_sweep(cfg: ScenarioConfig, rule: str,
         post = assemble_posterior(parts, data, lam)
         map_result = solve_map(post, scenario_solver_options(cfg, lam, post))
         if not map_result.converged:
-            raise ValueError(f"dilemma sweep, rule {rule}, n = {n}: MAP solve "
-                             f"did not converge within "
-                             f"{map_result.iterations} iterations (residual "
-                             f"{map_result.residual_norm:.3e})")
+            raise Refused(f"dilemma sweep, rule {rule}, n = {n}: MAP solve "
+                          f"did not converge within "
+                          f"{map_result.iterations} iterations (residual "
+                          f"{map_result.residual_norm:.3e})")
         truth = parts.truth_on_recon.values
         if with_cm:
             chains = sample_posterior(post, cfg, "gibbs",

@@ -86,9 +86,6 @@ class Signal:
         """Values reshaped to the grid shape (read-only view)."""
         return self.values.reshape(self.grid.shape)
 
-    def with_values(self, values: np.ndarray) -> "Signal":
-        return Signal(self.grid, values)
-
 
 def as_vector(u) -> np.ndarray:
     """Accept a Signal or array-like, return a flat float64 vector."""

@@ -66,13 +66,6 @@ def adjoint_probe_error(op: LinearOperator, rng=None, n_probes: int = 20) -> flo
     return worst
 
 
-def check_adjoint(op: LinearOperator, rng=None, n_probes: int = 20,
-                  tol: float = 1e-10) -> None:
-    err = adjoint_probe_error(op, rng, n_probes)
-    if err > tol:
-        raise AssertionError(f"{op.name}: adjoint probe error {err:.3e} > {tol:g}")
-
-
 def identity(n: int) -> LinearOperator:
     return LinearOperator(n, n, lambda u: u.copy(), lambda v: v.copy(), "identity")
 

@@ -16,14 +16,19 @@ Two samplers are provided:
   :func:`_pg_draw`) serves only Gaussian classes and
   :class:`PiecewiseGaussian1D`. A class of one coordinate takes the
   scalar draw :func:`_pg_draw_scalar`.
-* :func:`sample_rwm` -- componentwise Gaussian-proposal Metropolis for
-  everything else (notably the Besov prior in its wavelet domain).
+* :func:`sample_rwm` -- componentwise Gaussian-proposal Metropolis on the
+  pixels, for the Besov prior (whose energy it scores on the Haar
+  coefficients W u), the pixel l1 prior and the Gaussian prior with
+  L = I. It scores a block of consecutive proposals from one state and
+  commits the first accepted one, which leaves the chain that of the
+  sequential scan.
 
 RNG contract: NumPy PCG64 seeded with SeedSequence([seed, chain_index]),
 so chains are bit-reproducible from (seed, method, options) and parallel
 chains with distinct indices never share a stream. A Gibbs sweep draws
 one ``rng.random((n, 2))`` block and coordinate i uses row i of it,
-whatever the scan order.
+whatever the scan order. An RWM sweep draws one ``rng.standard_normal(n)``
+and one ``rng.random(n)``, and coordinate i uses entry i of each.
 """
 
 from __future__ import annotations
@@ -679,7 +684,6 @@ def sample_gibbs(post: Posterior, n_samples: int, burn_in: int = 0,
                        layout.colnorm[k0:k1], a_all[k0:k1], kinks))
     total_sweeps = burn_in + n_samples * thinning
     out = np.empty((n_samples, n))
-    rec = 0
     last = n - 1
     for sweep in range(total_sweeps):
         # row j holds the uniforms of coordinate order[j], so each class
@@ -742,9 +746,8 @@ def sample_gibbs(post: Posterior, n_samples: int, burn_in: int = 0,
             if l_mat is not None:
                 lw = l_mat @ u
         if sweep >= burn_in and (sweep - burn_in) % thinning == 0:
-            out[rec] = u
-            rec += 1
-    return Chain(out[:rec], seed=seed, burn_in=burn_in, thinning=thinning,
+            out[(sweep - burn_in) // thinning] = u
+    return Chain(out, seed=seed, burn_in=burn_in, thinning=thinning,
                  method="gibbs", grid=post.grid)
 
 
@@ -753,112 +756,68 @@ def sample_gibbs(post: Posterior, n_samples: int, burn_in: int = 0,
 # ---------------------------------------------------------------------------
 
 
+# Proposals scored per block of the RWM scan (see :func:`sample_rwm`).
+_RWM_BLOCK = 32
+
+
+def _flat_columns(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns of ``op`` as flat CSC arrays (ptr, rows, values).
+
+    Each column ends in one zero entry at row 0, so no column is empty:
+    ``np.add.reduceat`` returns the next element, not 0, for an empty
+    segment, and raises when a segment starts at the end of its input.
+    """
+    cols = sparse_columns(op)
+    pad_row, pad_val = np.zeros(1, dtype=np.intp), np.zeros(1)
+    ptr = np.concatenate([[0], np.cumsum([r.size + 1 for r, _ in cols])])
+    rows = np.concatenate([x for r, _ in cols for x in (r, pad_row)])
+    vals = np.concatenate([x for _, v in cols for x in (v, pad_val)])
+    return ptr, rows, vals
+
+
 @dataclass(frozen=True)
 class RwmLayout:
-    """Column structure of a posterior for RWM, shared by its chains.
+    """Columns of K (and of W for Besov) as flat CSC arrays, shared by chains.
 
-    ``pcols`` holds, per coordinate, the rows and values of K e_i and the
-    values weighted by the noise precision; ``w_cols`` the columns of the
-    Besov transform (None for other priors).
+    Column i of K is ``k_rows[k_ptr[i]:k_ptr[i + 1]]`` with values
+    ``k_vals`` and precision-weighted values ``k_pvals``, its last entry a
+    zero pad (see :func:`_flat_columns`). The ``w_*`` arrays hold the
+    columns of the Besov transform the same way, and ``w_weights`` the
+    prior weight of each entry's coefficient (None for other priors).
     """
 
-    pcols: list = field(repr=False)
-    colnorm: np.ndarray = field(repr=False)
-    w_cols: Optional[list] = field(repr=False)
+    k_ptr: np.ndarray = field(repr=False)
+    k_rows: np.ndarray = field(repr=False)
+    k_vals: np.ndarray = field(repr=False)
+    k_pvals: np.ndarray = field(repr=False)
+    colnorm: np.ndarray = field(repr=False)  # (n,) ||K e_i||_P^2
+    w_ptr: Optional[np.ndarray] = field(default=None, repr=False)
+    w_rows: Optional[np.ndarray] = field(default=None, repr=False)
+    w_vals: Optional[np.ndarray] = field(default=None, repr=False)
+    w_weights: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def rwm_layout(post: Posterior) -> RwmLayout:
-    prec = post.noise.precision_diag
-    pcols = [(idx, vals, vals * prec[idx])
-             for idx, vals in sparse_columns(post.operator)]
-    colnorm = np.array([float(v @ pv) for _, v, pv in pcols])
-    w_cols = (sparse_columns(post.prior.transform)
-              if post.prior.kind == "besov" else None)
-    return RwmLayout(pcols, colnorm, w_cols)
+    """Flat column arrays of ``post`` for :func:`sample_rwm`.
 
-
-class _CoordinateState:
-    """Incremental per-coordinate view of the posterior energy for RWM.
-
-    Maintains the data residual rho = f - K u (and L u or W u where the
-    prior needs it) so that single-coordinate energy differences cost
-    O(column support) instead of O(n).
+    RWM serves the Besov prior, the pixel l1 prior and the Gaussian prior
+    with L = I; every other prior is refused.
     """
-
-    def __init__(self, post: Posterior, u0: np.ndarray, layout: RwmLayout):
-        self.post = post
-        prior = post.prior
-        self.lam = prior.lam
-        self.u = u0.copy()
-        self.pcols = layout.pcols
-        self.colnorm = layout.colnorm
-        self.w_cols = layout.w_cols
-        self.l_mat = prior.l_matrix if prior.kind == "gaussian" else None
-        if self.l_mat is not None:
-            self.lnorm = np.einsum("ij,ij->j", self.l_mat, self.l_mat)
-        self.refresh()
-
-    # likelihood part: E_lik(t) = a t^2 + b t + const for coordinate i
-    def quad_terms(self, i: int) -> tuple[float, float]:
-        idx, _, pv = self.pcols[i]
-        a = 0.5 * self.colnorm[i]
-        b = -(self.u[i] * self.colnorm[i] + float(pv @ self.rho[idx]))
-        return a, b
-
-    def prior_delta(self, i: int, t: float) -> float:
-        """lam * (J(u with u_i = t) - J(u)) for the RWM acceptance ratio."""
-        prior = self.post.prior
-        kind = prior.kind
-        ui = self.u[i]
-        if kind == "besov":
-            jdx, wvals = self.w_cols[i]
-            new = np.abs(self.coef[jdx] + (t - ui) * wvals)
-            old = np.abs(self.coef[jdx])
-            return self.lam * float(prior.weights[jdx] @ (new - old))
-        if kind == "l1" and prior.transform is None:
-            return self.lam * (abs(t) - abs(ui))
-        if kind == "tv1d":
-            delta = 0.0
-            if i > 0:
-                delta += abs(t - self.u[i - 1]) - abs(ui - self.u[i - 1])
-            if i < self.u.size - 1:
-                delta += abs(self.u[i + 1] - t) - abs(self.u[i + 1] - ui)
-            return self.lam * delta
-        if kind == "gaussian":
-            # J = beta / (2 lam) ||L u||^2 along coordinate i: a t^2 + b t
-            lc = self.lam * (prior.beta / (2.0 * self.lam))
-            if self.l_mat is None:
-                a, b = lc, 0.0
-            else:
-                ln = self.lnorm[i]
-                a = lc * ln
-                b = 2.0 * lc * (float(self.l_mat[:, i] @ self.lw) - ui * ln)
-            return a * (t**2 - ui**2) + b * (t - ui)
-        # generic fallback: full energy difference
-        u_new = self.u.copy()
-        u_new[i] = t
-        return self.lam * (prior.energy(u_new) - prior.energy(self.u))
-
-    def commit(self, i: int, t: float) -> None:
-        delta = t - self.u[i]
-        if delta == 0.0:
-            return
-        idx, vals, _ = self.pcols[i]
-        self.rho[idx] -= delta * vals
-        if self.l_mat is not None:
-            self.lw += delta * self.l_mat[:, i]
-        elif self.w_cols is not None:
-            jdx, wvals = self.w_cols[i]
-            self.coef[jdx] += delta * wvals
-        self.u[i] = t
-
-    def refresh(self) -> None:
-        """Recompute cached residuals from scratch (guards float drift)."""
-        self.rho = self.post.data.values - self.post.operator.apply(self.u)
-        if self.l_mat is not None:
-            self.lw = self.l_mat @ self.u
-        elif self.w_cols is not None:
-            self.coef = self.post.prior.transform.apply(self.u)
+    prior = post.prior
+    kind = prior.kind
+    if not (kind == "besov" or (kind == "gaussian" and prior.l_matrix is None)
+            or (kind == "l1" and prior.transform is None)):
+        raise ValueError(f"sample_rwm: unsupported prior '{kind}' (RWM serves "
+                         f"Besov, pixel l1 and Gaussian with L = I)")
+    ptr, rows, vals = _flat_columns(post.operator)
+    pvals = vals * post.noise.precision_diag[rows]
+    colnorm = np.array([float(vals[p0:p1] @ pvals[p0:p1])
+                        for p0, p1 in zip(ptr[:-1], ptr[1:] - 1)])
+    if kind != "besov":
+        return RwmLayout(ptr, rows, vals, pvals, colnorm)
+    w_ptr, w_rows, w_vals = _flat_columns(prior.transform)
+    return RwmLayout(ptr, rows, vals, pvals, colnorm, w_ptr, w_rows, w_vals,
+                     prior.weights[w_rows])
 
 
 def sample_rwm(post: Posterior, n_samples: int, burn_in: int = 0,
@@ -872,44 +831,89 @@ def sample_rwm(post: Posterior, n_samples: int, burn_in: int = 0,
     where a_i is the coordinate's quadratic likelihood coefficient (falls
     back to ``step`` for columns K e_i = 0). Acceptance is recorded;
     pathological steps show up as acceptance near 0 or 1.
+
+    The scan in index order is evaluated in blocks: up to ``_RWM_BLOCK``
+    consecutive proposals are scored from one state, the first accepted
+    one is committed, and the next block starts after it. A rejection
+    changes no state, so every proposal scored before the first acceptance
+    sees the state the sequential scan gives it: the chain is that scan's.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     if n_samples < 1 or thinning < 1 or burn_in < 0:
         raise ValueError("bad chain sizing")
+    lay = layout if layout is not None else rwm_layout(post)
+    prior, lam, n = post.prior, post.prior.lam, post.dim
+    besov = prior.kind == "besov"
     rng = _chain_rng(seed, chain_index)
-    n = post.dim
-    state = _CoordinateState(post, initial.copy() if initial is not None
-                             else np.zeros(n),
-                             layout if layout is not None else rwm_layout(post))
-    scale = np.where(state.colnorm > 0, step / np.sqrt(np.maximum(state.colnorm,
-                                                                  1e-300)),
+    u = initial.copy() if initial is not None else np.zeros(n)
+    kp, k_rows, k_pvals = lay.k_ptr, lay.k_rows, lay.k_pvals
+    wp, w_rows, w_weights = lay.w_ptr, lay.w_rows, lay.w_weights
+    colnorm = lay.colnorm
+    scale = np.where(colnorm > 0, step / np.sqrt(np.maximum(colnorm, 1e-300)),
                      step)
     total_sweeps = burn_in + n_samples * thinning
     out = np.empty((n_samples, n))
-    rec = 0
     accepted = 0
-    proposed = 0
     for sweep in range(total_sweeps):
+        if sweep % 256 == 0:
+            # the cached residuals, from scratch (guards float drift)
+            rho = post.data.values - post.operator.apply(u)
+            if besov:
+                coef = prior.transform.apply(u)
         xi = rng.standard_normal(n)
         us = rng.random(n)
-        for i in range(n):
-            ui = state.u[i]
-            t = ui + scale[i] * xi[i]
-            a, b = state.quad_terms(i)
-            delta_e = a * (t * t - ui * ui) + b * (t - ui) + state.prior_delta(i, t)
-            proposed += 1
-            if delta_e <= 0.0 or us[i] < np.exp(-delta_e):
-                state.commit(i, t)
-                accepted += 1
-        if (sweep + 1) % 256 == 0:
-            state.refresh()
+        # terms of u_i alone, which no earlier coordinate of the sweep changes
+        t_all = u + scale * xi
+        d_all = t_all - u
+        quad = 0.5 * colnorm * (t_all * t_all - u * u)
+        uc = u * colnorm
+        if besov:
+            # (t - u_i) W e_i, entry by entry
+            shift = np.repeat(d_all, np.diff(wp)) * lay.w_vals
+        elif prior.kind == "l1":
+            prior_de = lam * (np.abs(t_all) - np.abs(u))
+        else:  # J = beta / (2 lam) ||u||^2
+            lc = lam * (prior.beta / (2.0 * lam))
+            prior_de = lc * (t_all * t_all - u * u)
+        s = 0
+        while s < n:
+            # lr = E(u_i) - E(t) = b (u_i - t) - a (t^2 - u_i^2) - prior term,
+            # b = -(u_i ||K e_i||_P^2 + <K e_i, rho>_P), for s <= i < e
+            e = min(s + _RWM_BLOCK, n)
+            p0, p1 = kp[s], kp[e]
+            dot = np.add.reduceat(k_pvals[p0:p1] * rho[k_rows[p0:p1]],
+                                  kp[s:e] - p0)
+            lr = (uc[s:e] + dot) * d_all[s:e] - quad[s:e]
+            if besov:
+                p0, p1 = wp[s], wp[e]
+                c = coef[w_rows[p0:p1]]
+                change = w_weights[p0:p1] * (np.abs(c + shift[p0:p1])
+                                             - np.abs(c))
+                lr -= lam * np.add.reduceat(change, wp[s:e] - p0)
+            else:
+                lr -= prior_de[s:e]
+            # accept when us < exp(lr), always when lr >= 0 since us < 1
+            ok = us[s:e] < np.exp(np.minimum(lr, 0.0))
+            k = int(ok.argmax())
+            if not ok[k]:
+                s = e
+                continue
+            i = s + k
+            accepted += 1
+            if d_all[i] != 0.0:  # commit, skipping each column's pad
+                col = slice(kp[i], kp[i + 1] - 1)
+                rho[k_rows[col]] -= d_all[i] * lay.k_vals[col]
+                if besov:
+                    col = slice(wp[i], wp[i + 1] - 1)
+                    coef[w_rows[col]] += d_all[i] * lay.w_vals[col]
+                u[i] = t_all[i]
+            s = i + 1
         if sweep >= burn_in and (sweep - burn_in) % thinning == 0:
-            out[rec] = state.u
-            rec += 1
-    return Chain(out[:rec], seed=seed, burn_in=burn_in, thinning=thinning,
+            out[(sweep - burn_in) // thinning] = u
+    return Chain(out, seed=seed, burn_in=burn_in, thinning=thinning,
                  method="rwm", grid=post.grid,
-                 acceptance_rate=accepted / max(proposed, 1))
+                 acceptance_rate=accepted / (total_sweeps * n))
 
 
 # ---------------------------------------------------------------------------

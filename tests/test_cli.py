@@ -235,6 +235,20 @@ def test_cli_verify_reports(tmp_path):
     assert code in (0, 1)
 
 
+def test_cli_verify_refuses_unconverged_map(tmp_path, capsys):
+    path = _write(tmp_path, TINY_DEBLUR.replace("max_iters = 1000",
+                                                "max_iters = 20"))
+    out = tmp_path / "out"
+    assert main(["verify", str(path), "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "verification needs a converged MAP" in err[0]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["refused"].startswith(
+        "verification needs a converged MAP: the solve stopped after 20 "
+        "iterations")
+
+
 def test_cli_dilemma(tmp_path):
     path = _write(tmp_path, TINY_TV)
     out = tmp_path / "out"

@@ -319,6 +319,9 @@ def test_run_experiment_small_ct_rwm():
     record = run_experiment(cfg)
     assert record.chains[0].method == "rwm"
     assert 0.01 < record.metrics["acceptance_rate"] < 0.99
+    assert record.metrics["acceptance_rates"] == [c.acceptance_rate
+                                                  for c in record.chains]
+    assert len(record.chains) == 2
     assert record.metrics["rel_l2_map"] < 2.0
 
 

@@ -3,14 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.sparse import csc_matrix
 from scipy.stats import kstest
 
 from bregbayes.grids import Signal, grid1d, grid2d
 from bregbayes.model import GaussianNoiseModel, Posterior
 from bregbayes.operators import (from_matrix, gaussian_blur, haar_transform,
                                  interval_average_1d, sparse_columns)
-from bregbayes.priors import (make_besov_prior, make_gaussian_prior,
-                              make_l1_prior, make_tv1d_prior)
+from bregbayes.priors import (make_besov_prior, make_entropy_prior,
+                              make_gaussian_prior, make_l1_prior,
+                              make_power_prior, make_tv1d_prior)
+from bregbayes import sampling
 from bregbayes.sampling import (Chain, PiecewiseGaussian1D, _l1_draw,
                                 _pg_draw, _pg_draw_scalar, _pg_table,
                                 _tv_class, _tv_draw,
@@ -625,16 +628,114 @@ def test_rwm_layout_reads_the_haar_matrix_without_applying_it():
     def no_apply(_):
         raise AssertionError("rwm_layout applied the Haar transform")
 
-    prior = make_besov_prior(0.5, np.ones(64), w)
+    weights = np.linspace(0.5, 2.0, 64)
+    prior = make_besov_prior(0.5, weights, w)
     prior = dataclasses.replace(prior, transform=dataclasses.replace(
         w, apply=no_apply, adjoint_apply=no_apply))
     post = _post(np.eye(64), np.zeros(64), 1.0, prior)
     layout = rwm_layout(post)
-    dense = w.matrix.toarray()
-    for i, (idx, vals) in enumerate(layout.w_cols):
-        col = np.zeros(64)
-        col[idx] = vals
-        np.testing.assert_array_equal(col, dense[:, i])
+    # duplicate entries add up, so each column's zero pad changes nothing
+    cols = csc_matrix((layout.w_vals, layout.w_rows, layout.w_ptr),
+                      shape=(64, 64))
+    np.testing.assert_array_equal(cols.toarray(), w.matrix.toarray())
+    np.testing.assert_array_equal(layout.w_weights, weights[layout.w_rows])
+
+
+def _reference_rwm_chain(post, n_samples, burn_in, thinning, step, seed):
+    """sample_rwm written as a plain scan, one coordinate at a time."""
+    prior, lam, n = post.prior, post.prior.lam, post.dim
+    prec = post.noise.precision_diag
+    cols = [(r, v, v * prec[r]) for r, v in sparse_columns(post.operator)]
+    colnorm = np.array([float(v @ pv) for _, v, pv in cols])
+    besov = prior.kind == "besov"
+    w_cols = sparse_columns(prior.transform) if besov else None
+    scale = np.where(colnorm > 0,
+                     step / np.sqrt(np.maximum(colnorm, 1e-300)), step)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    u = np.zeros(n)
+    out, accepted = [], 0
+    total = burn_in + n_samples * thinning
+    for sweep in range(total):
+        if sweep % 256 == 0:
+            rho = post.data.values - post.operator.apply(u)
+            coef = prior.transform.apply(u) if besov else None
+        xi = rng.standard_normal(n)
+        us = rng.random(n)
+        for i in range(n):
+            ui = u[i]
+            t = ui + scale[i] * xi[i]
+            idx, vals, pv = cols[i]
+            a = 0.5 * colnorm[i]
+            b = -(ui * colnorm[i] + float(pv @ rho[idx]))
+            if besov:
+                jdx, wvals = w_cols[i]
+                new = np.abs(coef[jdx] + (t - ui) * wvals)
+                prior_de = lam * float(prior.weights[jdx]
+                                       @ (new - np.abs(coef[jdx])))
+            elif prior.kind == "l1":
+                prior_de = lam * (abs(t) - abs(ui))
+            else:
+                prior_de = lam * (prior.beta / (2.0 * lam)) * (t * t - ui * ui)
+            de = a * (t * t - ui * ui) + b * (t - ui) + prior_de
+            if de <= 0.0 or us[i] < np.exp(-de):
+                accepted += 1
+                if t != ui:
+                    rho[idx] -= (t - ui) * vals
+                    if besov:
+                        coef[jdx] += (t - ui) * wvals
+                    u[i] = t
+        if sweep >= burn_in and (sweep - burn_in) % thinning == 0:
+            out.append(u.copy())
+    return np.array(out), accepted / (total * n)
+
+
+def _rwm_reference_posteriors():
+    rng = np.random.default_rng(83)
+    k3 = rng.standard_normal((4, 3)) + np.eye(4, 3)
+    yield "gauss1", _post([[1.0]], [0.3], np.sqrt(2.0),
+                          make_gaussian_prior(1.0, 0.5))
+    yield "gauss3", _post(k3, rng.standard_normal(4), 0.7,
+                          make_gaussian_prior(1.3, 0.8))
+    k8 = rng.standard_normal((6, 8))
+    k8[:, [3, 7]] = 0.0  # a zero column in the middle and a zero last one
+    yield "l1_zero_columns", _post(k8, rng.standard_normal(6), 0.5,
+                                   make_l1_prior(0.8))
+    k64 = rng.standard_normal((40, 64))
+    yield "besov8x8", _post(k64, rng.standard_normal(40), 1.0,
+                            make_besov_prior(0.6, rng.uniform(0.5, 2.0, 64),
+                                             haar_transform(grid2d(8, 8))))
+
+
+@pytest.mark.parametrize("block", [1, 3, None])
+@pytest.mark.parametrize("label", ["gauss1", "gauss3", "l1_zero_columns",
+                                   "besov8x8"])
+def test_block_rwm_is_the_sequential_chain(label, block, monkeypatch):
+    # short blocks put block ends (and zero columns at them) inside the
+    # scan; None keeps the module's block size
+    if block is not None:
+        monkeypatch.setattr(sampling, "_RWM_BLOCK", block)
+    post = dict(_rwm_reference_posteriors())[label]
+    # 300 sweeps cross the residual refresh at sweep 256
+    chain = sample_rwm(post, 140, burn_in=20, thinning=2, step=2.4, seed=61)
+    samples, rate = _reference_rwm_chain(post, 140, 20, 2, 2.4, 61)
+    assert np.array_equal(chain.samples, samples)
+    assert chain.acceptance_rate == rate
+    assert 0.0 < rate < 1.0
+
+
+@pytest.mark.parametrize("prior", [
+    make_tv1d_prior(1.0),
+    make_power_prior(1.0, 1.5),
+    make_entropy_prior(1.0),
+    make_l1_prior(1.0, haar_transform(grid1d(4))),
+    make_gaussian_prior(1.0, 1.0, np.eye(4)),
+], ids=["tv1d", "power", "entropy", "l1_transform", "gaussian_l"])
+def test_rwm_rejects_unsupported_priors(prior):
+    post = _post(np.eye(4), np.zeros(4), 1.0, prior)
+    with pytest.raises(ValueError, match=f"'{prior.kind}'"):
+        rwm_layout(post)
+    with pytest.raises(ValueError, match=f"'{prior.kind}'"):
+        sample_rwm(post, 10)
 
 
 def test_rwm_validation():
