@@ -16,10 +16,10 @@ from .map_solver import (MapResult, SolverOptions, optimality_residual,
 from .model import (GaussianNoiseModel, Posterior, neg_log_posterior,
                     neg_log_posterior_gradient, weighted_sq_norm)
 from .operators import (LinearOperator, adjoint_probe_error,
-                        cell_average_restriction, compose, from_matrix,
+                        cell_average_restriction, from_matrix,
                         gaussian_blur, haar_transform, identity,
                         interval_average_1d, radon)
-from .priors import (BregmanEval, Prior, forward_differences,
+from .priors import (Prior, forward_differences,
                      make_besov_prior, make_entropy_prior,
                      make_gaussian_prior, make_l1_prior, make_power_prior,
                      make_tv1d_prior)

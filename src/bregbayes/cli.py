@@ -94,7 +94,9 @@ class _Writer:
                     "versions": {"python": platform.python_version(),
                                  "numpy": np.__version__,
                                  "scipy": scipy.__version__},
-                    "artifacts": sorted(self.artifacts,
+                    # a refused run lists what it left behind
+                    "artifacts": sorted((a for a in self.artifacts if
+                                         (self.out_dir / a["path"]).exists()),
                                         key=lambda a: a["path"])}
         if refused is not None:
             manifest["refused"] = refused
@@ -140,6 +142,7 @@ def _cmd_scenario(cfg, writer) -> int:
 def _estimate_core(cfg, writer, want_map=True, want_cm=True, verify=False):
     if want_map:
         trace_path = writer.out_dir / "map_trace.csv"
+        writer.artifacts.append({"path": trace_path.name, "kind": "trace_csv"})
         cfg = dataclasses.replace(
             cfg, solver=dataclasses.replace(cfg.solver,
                                             trace_path=str(trace_path)))
@@ -148,7 +151,6 @@ def _estimate_core(cfg, writer, want_map=True, want_cm=True, verify=False):
     grid = record.parts.recon_grid
     if want_map:
         writer.signal(Signal(grid, record.map_result.estimate), "map", pgm=True)
-        writer.artifacts.append({"path": "map_trace.csv", "kind": "trace_csv"})
         writer.json({"lambda": record.lam,
                      "iterations": record.map_result.iterations,
                      "cg_iterations": record.map_result.cg_iterations,

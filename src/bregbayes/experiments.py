@@ -256,11 +256,14 @@ def s_curve_select_lambda(posterior_factory: Callable[[float], Posterior],
                           bracket: tuple[float, float],
                           tol: float = 0.02,
                           solver: Optional[SolverOptions] = None,
-                          max_steps: int = 40) -> tuple[float, list[dict]]:
+                          max_steps: int = 40,
+                          on_solve: Callable[[float, MapResult], None]
+                          = lambda lam, res: None) -> tuple[float, list[dict]]:
     """Bisection on lambda until the MAP coefficient sparsity hits the target.
 
     Returns lambda and the evaluated solves ``{lambda, sparsity,
-    iterations, residual, converged}`` in evaluation order. The midpoints
+    iterations, cg_iterations, residual, converged}`` in evaluation order;
+    ``on_solve(lambda, result)`` sees each accepted solve. The midpoints
     depend only on how each midpoint's sparsity compares with the target,
     so the bracket ends are solved only when no midpoint comes within
     ``tol``; raises when they do not straddle the target, when the
@@ -285,6 +288,7 @@ def s_curve_select_lambda(posterior_factory: Callable[[float], Posterior],
         s = map_sparsity(post, res)
         evaluated.append({"lambda": lam, "sparsity": s,
                           "iterations": res.iterations,
+                          "cg_iterations": res.cg_iterations,
                           "residual": res.residual_norm,
                           "converged": res.converged})
         curve = sorted((e["lambda"], e["sparsity"]) for e in evaluated)
@@ -292,6 +296,7 @@ def s_curve_select_lambda(posterior_factory: Callable[[float], Posterior],
             pairs = ", ".join(f"{x:.6g} -> {y:.4f}" for x, y in curve)
             raise ValueError(f"sparsity is not non-increasing in lambda: "
                              f"{pairs}")
+        on_solve(lam, res)
         return s
 
     for _ in range(max_steps):
@@ -434,13 +439,16 @@ class ExperimentRecord:
 
 
 def resolve_lambda(cfg: ScenarioConfig, parts: ScenarioParts,
-                   data: GeneratedData) -> tuple[float, list[dict]]:
-    """lambda under the config's rule, and the s-curve search's solves
-    (empty for the fixed and sqrt rules)."""
+                   data: GeneratedData
+                   ) -> tuple[float, list[dict], Optional[MapResult]]:
+    """lambda under the config's rule, the s-curve search's solves, and
+    the search's solve at that lambda (empty and None for the fixed and
+    sqrt rules, and None when the search settles between bracket ends)."""
     if cfg.lambda_rule == "fixed":
-        return float(cfg.lam), []
+        return float(cfg.lam), [], None
     if cfg.lambda_rule == "sqrt_n":
-        return lambda_sqrt_rule(parts.recon_grid.size, cfg.rule_constant), []
+        lam = lambda_sqrt_rule(parts.recon_grid.size, cfg.rule_constant)
+        return lam, [], None
     # s_curve: match the truth's coefficient sparsity
     noise = GaussianNoiseModel.from_sigma(data.sigma, parts.data_grid.size)
 
@@ -452,11 +460,16 @@ def resolve_lambda(cfg: ScenarioConfig, parts: ScenarioParts,
     target = cfg.s_curve_target
     if target is None:
         target = coefficient_sparsity(probe_prior, parts.truth_on_recon.values)
-    # sparsity counting needs only moderate accuracy per solve
-    search_solver = replace(scenario_solver_options(cfg, 1.0, factory(1.0)),
-                            max_iters=400, tol_residual=1e-3, trace_path=None)
-    return s_curve_select_lambda(factory, target, cfg.s_curve_bracket,
-                                 cfg.s_curve_tol, solver=search_solver)
+    # sparsity counting needs only moderate accuracy per solve, so its
+    # u-steps run CG to 10x cg_tol; the KKT residual still certifies each
+    base = scenario_solver_options(cfg, 1.0, factory(1.0))
+    search_solver = replace(base, max_iters=400, tol_residual=1e-3,
+                            cg_tol=10.0 * base.cg_tol, trace_path=None)
+    solves: dict[float, MapResult] = {}
+    lam, search = s_curve_select_lambda(factory, target, cfg.s_curve_bracket,
+                                        cfg.s_curve_tol, solver=search_solver,
+                                        on_solve=solves.__setitem__)
+    return lam, search, solves.get(lam)
 
 
 def assemble_posterior(parts: ScenarioParts, data: GeneratedData,
@@ -543,9 +556,11 @@ def run_experiment(cfg: ScenarioConfig, verify: bool = False,
             raise AssertionError("data and reconstruction share a grid")
     data = generate_data(parts.truth_fine, parts.forward_fine, parts.restrict,
                          cfg.noise_fraction, cfg.seed, parts.data_grid)
-    lam, search = resolve_lambda(cfg, parts, data)
+    lam, search, start = resolve_lambda(cfg, parts, data)
     post = assemble_posterior(parts, data, lam)
-    map_result = solve_map(post, scenario_solver_options(cfg, lam, post))
+    # the final MAP continues the search's solve at lambda, to its own options
+    map_result = solve_map(post, scenario_solver_options(cfg, lam, post),
+                           start)
     if verify and not map_result.converged:
         raise Refused(f"verification needs a converged MAP: the solve "
                       f"stopped after {map_result.iterations} iterations "
@@ -563,6 +578,7 @@ def run_experiment(cfg: ScenarioConfig, verify: bool = False,
         "map_cg_iterations": map_result.cg_iterations,
         "map_optimality_residual": map_result.residual_norm,
         "map_converged": map_result.converged,
+        "map_continued_from_search": start is not None,
         "lambda_search": search,
     }
     if not with_cm:

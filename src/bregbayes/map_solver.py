@@ -87,6 +87,8 @@ class MapResult:
     split_coefficients: Optional[np.ndarray] = field(repr=False, default=None)
     # CG iterations of all u-steps of the solve; 0 when every u-step is exact
     cg_iterations: int = 0
+    # terminal scaled dual times the penalty, mu b, so no penalty is baked in
+    dual: Optional[np.ndarray] = field(repr=False, default=None)
 
 
 def _cg(apply_a: Callable, rhs: np.ndarray, x0: np.ndarray, tol: float,
@@ -174,7 +176,8 @@ def _exact_u_step(post: Posterior, mu: float,
 
     TV: a banded Cholesky factor. A blur with DCT eigenvalues s, Phi^T Phi
     = I and P = p I: A = C^T (p s^2 + mu) C, a pointwise division in DCT
-    space. None otherwise (the u-step then runs CG).
+    space, with the DCT applied as dense matrices along each axis. None
+    otherwise (the u-step then runs CG).
     """
     if post.prior.kind == "tv1d":
         return _banded_tv_solver(post, mu)
@@ -182,11 +185,19 @@ def _exact_u_step(post: Posterior, mu: float,
     p = post.noise.precision_diag
     if not phi_orthonormal or s is None or np.any(p != p[0]):
         return None
-    from scipy.fft import dctn, idctn
+    # a 1-D grid as one column: the DCT of length 1 is the identity
+    shape = s.shape if s.ndim == 2 else (s.size, 1)
+    denom = (p[0] * s * s + mu).reshape(shape)
+    c_r, c_s = (_dct_matrix(m) for m in shape)
+    return lambda rhs: (c_r.T @ ((c_r @ rhs.reshape(shape) @ c_s.T) / denom)
+                        @ c_s).reshape(-1)
 
-    denom = p[0] * s * s + mu
-    return lambda rhs: idctn(dctn(rhs.reshape(s.shape), norm="ortho") / denom,
-                             norm="ortho").reshape(-1)
+
+def _dct_matrix(n: int) -> np.ndarray:
+    """The orthonormal DCT-II, C[k, i] ~ cos(pi k (i + 1/2) / n)."""
+    k = np.arange(n)[:, None]
+    return (np.sqrt((2.0 - (k == 0)) / n)
+            * np.cos(np.pi / n * k * (np.arange(n) + 0.5)))
 
 
 def _split_structure(prior: Prior, n: int):
@@ -209,7 +220,8 @@ def _split_structure(prior: Prior, n: int):
     raise ValueError(f"prior '{prior.kind}' provides no prox for the splitting")
 
 
-def solve_map(post: Posterior, opts: Optional[SolverOptions] = None) -> MapResult:
+def solve_map(post: Posterior, opts: Optional[SolverOptions] = None,
+              start: Optional[MapResult] = None) -> MapResult:
     """Minimize the negative log posterior; deterministic given inputs.
 
     Gaussian priors go through a single CG solve of the normal equations;
@@ -217,17 +229,20 @@ def solve_map(post: Posterior, opts: Optional[SolverOptions] = None) -> MapResul
     u-step where :func:`_exact_u_step` finds one. The solve has converged
     exactly when the KKT residual of the returned estimate is at most
     ``tol_residual``; otherwise ``converged=False`` and a warning is
-    logged, with the best finite iterate still returned.
+    logged, with the best finite iterate still returned. ``start``, an
+    earlier result of the same posterior, is continued from its estimate
+    and, for the splitting, its terminal d and dual; the continued solve
+    obeys ``opts`` and counts only its own iterations.
     """
     opts = opts or SolverOptions()
     if post.prior.kind == "gaussian":
-        u, cg_iterations = _gaussian_solve(post, opts)
+        u, cg_iterations = _gaussian_solve(post, opts, start)
         energy = _model.neg_log_posterior(post, u)
         iterations, energies, residuals = cg_iterations, [energy], [np.nan]
-        split = None
+        split = dual = None
     else:
-        (u, energy, iterations, energies, residuals, split,
-         cg_iterations) = _split_bregman(post, opts)
+        (u, energy, iterations, energies, residuals, split, dual,
+         cg_iterations) = _split_bregman(post, opts, start)
     residual = _residual_norm(post, u)
     converged = residual <= opts.tol_residual
     if not converged:
@@ -238,22 +253,25 @@ def solve_map(post: Posterior, opts: Optional[SolverOptions] = None) -> MapResul
     _write_trace(opts.trace_path, energies, residuals)
     return MapResult(u, subgradient_certificate(post, u), iterations, energy,
                      residual, converged, np.asarray(energies),
-                     split_coefficients=split, cg_iterations=cg_iterations)
+                     split_coefficients=split, cg_iterations=cg_iterations,
+                     dual=dual)
 
 
-def _gaussian_solve(post: Posterior, opts: SolverOptions):
+def _gaussian_solve(post: Posterior, opts: SolverOptions,
+                    start: Optional[MapResult]):
     """(estimate, CG iterations) from the normal equations."""
     k, prec, prior = post.operator, post.noise.apply_precision, post.prior
     l_mat = prior.l_matrix
     lt_l = None if l_mat is None else l_mat.T @ l_mat
     apply_a = lambda u: (k.adjoint_apply(prec(k.apply(u)))
                          + prior.beta * (u if lt_l is None else lt_l @ u))
-    return _cg(apply_a, k.adjoint_apply(prec(post.data.values)),
-               np.zeros(k.in_dim), opts.cg_tol,
-               max(_CG_MAX_ITERS, 10 * k.in_dim))
+    x0 = np.zeros(k.in_dim) if start is None else start.estimate
+    return _cg(apply_a, k.adjoint_apply(prec(post.data.values)), x0,
+               opts.cg_tol, max(_CG_MAX_ITERS, 10 * k.in_dim))
 
 
-def _split_bregman(post: Posterior, opts: SolverOptions):
+def _split_bregman(post: Posterior, opts: SolverOptions,
+                   start: Optional[MapResult]):
     """The over-relaxed splitting loop, up to its raw outputs.
 
     Stops at max_iters, at a non-finite iterate, or when the best
@@ -268,30 +286,20 @@ def _split_bregman(post: Posterior, opts: SolverOptions):
     # The splitting iterates are not energy-monotone in general; the solver
     # therefore reports the lowest-energy iterate visited, and the recorded
     # energy trace is that running best.
-
-    def kt_p_k(u):
-        return k.adjoint_apply(prec(k.apply(u)))
-
     rhs_data = k.adjoint_apply(prec(f))
     phi, weights, identity_split, phi_orthonormal = _split_structure(prior, n)
     mu = opts.penalty if opts.penalty is not None else lam
     thresh = (lam / mu) * weights if weights is not None else None
 
     if phi is None:
-        phi_apply = lambda u: u
-        phi_adj = lambda d: d
+        phi_apply = phi_adj = lambda u: u
         m_split = n
     else:
-        phi_apply = phi.apply
-        phi_adj = phi.adjoint_apply
-        m_split = phi.out_dim
+        phi_apply, phi_adj, m_split = phi.apply, phi.adjoint_apply, phi.out_dim
 
-    if phi_orthonormal:
-        def apply_a(u):
-            return kt_p_k(u) + mu * u
-    else:
-        def apply_a(u):
-            return kt_p_k(u) + mu * phi_adj(phi_apply(u))
+    def apply_a(u):
+        kt_p_k = k.adjoint_apply(prec(k.apply(u)))
+        return kt_p_k + mu * (u if phi_orthonormal else phi_adj(phi_apply(u)))
 
     # the prior term of the energy from pu = Phi u, which the shrink step
     # needs anyway; the same arithmetic as prior.energy(u)
@@ -306,14 +314,13 @@ def _split_bregman(post: Posterior, opts: SolverOptions):
     exact = _exact_u_step(post, mu, phi_orthonormal)
     cg_iterations = 0
 
-    u = np.zeros(n)
-    d = np.zeros(m_split)
-    b = np.zeros(m_split)
+    if start is None:
+        u, d, b = np.zeros(n), np.zeros(m_split), np.zeros(m_split)
+    else:
+        u, d, b = start.estimate, start.split_coefficients, start.dual / mu
     u_best = u.copy()
     e_best = _model.neg_log_posterior(post, u)
-    energies = []
-    residuals = []
-    it = 0
+    energies, residuals, it = [], [], 0
     for it in range(1, opts.max_iters + 1):
         rhs = rhs_data + mu * phi_adj(d - b)
         if exact is not None:
@@ -344,7 +351,8 @@ def _split_bregman(post: Posterior, opts: SolverOptions):
             residuals[-1] = _residual_norm(post, u_best)
             if residuals[-1] <= opts.tol_residual:
                 break
-    return u_best, e_best, it, energies, residuals, d.copy(), cg_iterations
+    return (u_best, e_best, it, energies, residuals, d.copy(), mu * b,
+            cg_iterations)
 
 
 def _box_violation(eta: np.ndarray, coef: np.ndarray, w: np.ndarray) -> float:
@@ -399,12 +407,10 @@ def optimality_residual(post: Posterior, result: MapResult) -> float:
     return _residual_norm(post, result.estimate)
 
 
-def _write_trace(path, energies, residuals=None) -> None:
+def _write_trace(path, energies, residuals) -> None:
     """Convergence trace CSV; residual column is empty between evaluations."""
-    if path is None or energies is None:
+    if path is None:
         return
-    if residuals is None:
-        residuals = [np.nan] * len(energies)
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "energy", "residual"])

@@ -76,18 +76,6 @@ def from_matrix(a: np.ndarray, name: str = "matrix") -> LinearOperator:
     return LinearOperator(n, m, lambda u: a @ u, lambda v: a.T @ v, name)
 
 
-def compose(outer: LinearOperator, inner: LinearOperator) -> LinearOperator:
-    """outer after inner: (outer . inner) u = outer(inner(u))."""
-    if inner.out_dim != outer.in_dim:
-        raise ValueError("composition dimension mismatch")
-    return LinearOperator(
-        inner.in_dim, outer.out_dim,
-        lambda u: outer.apply(inner.apply(u)),
-        lambda v: inner.adjoint_apply(outer.adjoint_apply(v)),
-        f"{outer.name}.{inner.name}",
-    )
-
-
 def sparse_columns(op: LinearOperator) -> list[tuple[np.ndarray, np.ndarray]]:
     """Column sparsity of K: one (indices, values) pair per input coordinate.
 

@@ -17,14 +17,6 @@ from .operators import LinearOperator
 
 
 @dataclass(frozen=True)
-class BregmanEval:
-    """A Bregman distance value together with the subgradient it used."""
-
-    value: float
-    subgradient_used: np.ndarray
-
-
-@dataclass(frozen=True)
 class Prior:
     """Convex Gibbs energy with weight ``lam`` (prior ~ exp(-lam * J))."""
 
@@ -58,18 +50,12 @@ class Prior:
             raise ValueError("prox step must be nonnegative")
         return self.prox_fn(as_vector(v), float(t))
 
-    def bregman_eval(self, u, v, q=None) -> BregmanEval:
+    def bregman(self, u, v, q=None) -> float:
+        """D_J^q(u, v), with q the canonical subgradient at v by default."""
         u = as_vector(u)
         v = as_vector(v)
-        if q is None:
-            q = self.subgradient_fn(v)
-        else:
-            q = as_vector(q)
-        value = self.energy_fn(u) - self.energy_fn(v) - float(q @ (u - v))
-        return BregmanEval(float(value), q)
-
-    def bregman(self, u, v, q=None) -> float:
-        return self.bregman_eval(u, v, q).value
+        q = self.subgradient_fn(v) if q is None else as_vector(q)
+        return float(self.energy_fn(u) - self.energy_fn(v) - float(q @ (u - v)))
 
 
 def _soft_threshold(v: np.ndarray, t) -> np.ndarray:

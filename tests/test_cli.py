@@ -247,6 +247,9 @@ def test_cli_verify_refuses_unconverged_map(tmp_path, capsys):
     assert manifest["refused"].startswith(
         "verification needs a converged MAP: the solve stopped after 20 "
         "iterations")
+    # the refused run lists the trace it left behind
+    assert (out / "map_trace.csv").exists()
+    assert {"path": "map_trace.csv", "kind": "trace_csv"} in manifest["artifacts"]
 
 
 def test_cli_dilemma(tmp_path):
@@ -272,3 +275,18 @@ def test_cli_import_loads_no_ndimage():
     proc = subprocess.run([sys.executable, "-c", code],
                           env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert proc.returncode == 0
+
+
+def test_cli_deblur_map_loads_no_scipy_fft(tmp_path):
+    # the DCT u-step applies dense DCT matrices, so no scipy.fft import
+    path = _write(tmp_path, TINY_DEBLUR)
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    code = ("import sys; from bregbayes.cli import main; "
+            f"assert main(['map', {str(path)!r}, '--out-dir', "
+            f"{str(tmp_path / 'out')!r}]) == 0; "
+            "sys.exit('scipy.fft' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0
+    report = json.loads((tmp_path / "out" / "map_report.json").read_text())
+    assert report["converged"] and report["cg_iterations"] == 0

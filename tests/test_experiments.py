@@ -361,8 +361,8 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 def _captured_solves(monkeypatch):
     results = []
 
-    def solve(post, opts=None):
-        results.append(solve_map(post, opts))
+    def solve(post, opts=None, start=None):
+        results.append(solve_map(post, opts, start))
         return results[-1]
 
     monkeypatch.setattr(experiments, "solve_map", solve)
@@ -397,3 +397,37 @@ def test_radon_besov_map_solve_runs_cg(caplog):
     assert record.metrics["lambda_search"] == []
     assert record.map_result.cg_iterations > 0
     assert record.metrics["map_cg_iterations"] == record.map_result.cg_iterations
+
+
+def test_s_curve_final_map_continues_the_accepted_search_solve(monkeypatch):
+    calls = []
+
+    def solve(post, opts=None, start=None):
+        calls.append((post.prior.lam, opts, start, solve_map(post, opts, start)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(experiments, "solve_map", solve)
+    solver = SolverOptions(max_iters=1200, tol_residual=1e-4, cg_tol=1e-8)
+    cfg = ScenarioConfig(name="ct2d", seed=3, recon_shape=(16, 16),
+                         truth_factor=2, noise_fraction=0.01,
+                         lambda_rule="s_curve", s_curve_target=0.2,
+                         s_curve_bracket=(10.0, 5000.0), s_curve_tol=0.03,
+                         angles=15, bins=47, solver=solver)
+    record = run_experiment(cfg, with_cm=False)
+    *search, (lam, opts, start, final) = calls
+    search_result = search[-1][-1]
+    assert lam == record.lam == search[-1][0] and start is search_result
+    # the search's u-steps run CG at 10x cg_tol, the final solve at cg_tol
+    assert all(o.cg_tol == 1e-7 and o.trace_path is None for _, o, _, _ in search)
+    assert (opts.cg_tol, opts.tol_residual, opts.max_iters) == (1e-8, 1e-4, 1200)
+    assert final is record.map_result and final.converged
+    assert final.iterations == 10
+    metrics = record.metrics
+    assert metrics["map_continued_from_search"] is True
+    assert [e["cg_iterations"] for e in metrics["lambda_search"]] == \
+        [r.cg_iterations for *_, r in search]
+    assert all(e["cg_iterations"] > 0 for e in metrics["lambda_search"])
+    fixed = run_experiment(dataclasses.replace(cfg, lambda_rule="fixed",
+                                               lam=lam), with_cm=False)
+    assert fixed.metrics["map_continued_from_search"] is False
+    assert calls[-1][2] is None

@@ -7,10 +7,11 @@ import pytest
 import scipy.linalg
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
+from bregbayes.experiments import build_indicator_1d
 from bregbayes.grids import Signal, grid1d, grid2d
 from bregbayes.map_solver import (MapResult, SolverOptions, _banded_tv_solver,
-                                  optimality_residual, solve_map,
-                                  subgradient_certificate)
+                                  _exact_u_step, optimality_residual,
+                                  solve_map, subgradient_certificate)
 from bregbayes.model import GaussianNoiseModel, Posterior, neg_log_posterior
 from bregbayes.operators import (from_matrix, gaussian_blur, haar_transform,
                                  interval_average_1d)
@@ -292,6 +293,74 @@ def test_blur_u_step_exact_by_dct_agrees_with_cg():
     assert exact.cg_iterations == 0 and by_cg.cg_iterations > 0
     scale = np.abs(by_cg.estimate).max()
     assert np.abs(exact.estimate - by_cg.estimate).max() <= 1e-7 * scale
+
+
+@pytest.mark.parametrize("grid", [grid1d(40), grid2d(12, 9)])
+def test_dct_u_step_matches_dense_solve(grid):
+    k = gaussian_blur(grid, 0.06)
+    post = Posterior(k, Signal(grid, np.zeros(grid.size)),
+                     GaussianNoiseModel.from_sigma(0.3, grid.size),
+                     make_l1_prior(1.0))
+    mu = 2.5
+    kd = np.column_stack([k.apply(e) for e in np.eye(grid.size)])
+    a = post.noise.precision_diag[0] * kd.T @ kd + mu * np.eye(grid.size)
+    rhs = np.random.default_rng(1).standard_normal(grid.size)
+    dense = np.linalg.solve(a, rhs)
+    by_dct = _exact_u_step(post, mu, phi_orthonormal=True)(rhs)
+    assert np.abs(by_dct - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def _tv_posterior(rng):
+    n, m = 63, 20
+    truth = build_indicator_1d(grid1d(n)).values
+    k = interval_average_1d(grid1d(n), m)
+    return Posterior(k, Signal(grid1d(m), k.apply(truth)
+                               + 0.05 * rng.standard_normal(m)),
+                     GaussianNoiseModel.from_sigma(0.05, m),
+                     make_tv1d_prior(0.5))
+
+
+_CONTINUED_CASES = {
+    "blur-l1-dct": (lambda rng: _blur_posterior(grid2d(16, 12), 0.05, 0.5, rng),
+                    SolverOptions(penalty=1e3, max_iters=5000)),
+    "tv-banded": (_tv_posterior, SolverOptions(penalty=5.0, max_iters=5000)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONTINUED_CASES))
+def test_continuing_a_converged_solve_stops_at_the_first_residual_test(case):
+    make_post, opts = _CONTINUED_CASES[case]
+    post = make_post(np.random.default_rng(5))
+    cold = solve_map(post, opts)
+    assert cold.converged and cold.iterations > 10
+    # the dual is carried as mu b, so a continued solve may change mu
+    for penalty in (opts.penalty, 2.0 * opts.penalty):
+        cont = solve_map(post, dataclasses.replace(opts, penalty=penalty), cold)
+        assert cont.converged and cont.iterations == 10
+        assert cont.residual_norm <= opts.tol_residual
+        assert np.abs(cont.estimate - cold.estimate).max() <= opts.tol_residual
+        # the splitting state stays at the fixed point it started from
+        assert np.abs(cont.dual - cold.dual).max() <= 1e-5 * post.prior.lam
+
+
+@pytest.mark.parametrize("case", sorted(_CONTINUED_CASES))
+def test_continuing_an_unconverged_solve_obeys_its_own_options(case, caplog):
+    make_post, opts = _CONTINUED_CASES[case]
+    post = make_post(np.random.default_rng(5))
+    cold = solve_map(post, opts)
+    early = solve_map(post, dataclasses.replace(opts, max_iters=20))
+    assert not early.converged
+    with caplog.at_level(logging.WARNING, logger="bregbayes.map_solver"):
+        short = solve_map(post, dataclasses.replace(opts, max_iters=30), early)
+    assert short.iterations == 30 and not short.converged
+    assert short.residual_norm > opts.tol_residual
+    assert "no convergence within 30 iterations" in caplog.text
+    # with a budget, the continued splitting is the cold one resumed: it
+    # stops where the cold solve stopped, at the same estimate
+    rest = solve_map(post, opts, early)
+    assert rest.converged and rest.residual_norm <= opts.tol_residual
+    assert early.iterations + rest.iterations == cold.iterations
+    assert np.abs(rest.estimate - cold.estimate).max() <= 1e-12
 
 
 def test_blur_wider_than_the_grid_solves_by_cg():

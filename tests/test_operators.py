@@ -6,9 +6,9 @@ import pytest
 
 from bregbayes.grids import grid1d, grid2d
 from bregbayes.operators import (adjoint_probe_error, cell_average_restriction,
-                                 compose, from_matrix, gaussian_blur,
-                                 haar_transform, identity, interval_average_1d,
-                                 radon, sparse_columns)
+                                 from_matrix, gaussian_blur, haar_transform,
+                                 identity, interval_average_1d, radon,
+                                 sparse_columns)
 
 RNG = np.random.default_rng(20240811)
 
@@ -346,14 +346,8 @@ def test_interval_average_divisible_matches_block_mean():
 
 # -- plumbing ----------------------------------------------------------------
 
-def test_compose_and_sparse_columns():
+def test_sparse_columns():
     a = from_matrix(RNG.standard_normal((3, 5)))
-    b = from_matrix(RNG.standard_normal((5, 4)))
-    c = compose(a, b)
-    u = RNG.standard_normal(4)
-    np.testing.assert_allclose(c.apply(u), a.apply(b.apply(u)))
-    assert adjoint_probe_error(c, RNG) < 1e-12
-
     cols = sparse_columns(a)
     dense = _dense(a)
     for i, (idx, vals) in enumerate(cols):

@@ -321,11 +321,3 @@ def test_l1_three_point_identity():
         rhs = (p.bregman(uhat, m, q=q_m) + p.bregman(m, u)
                + (q_m - p.subgradient(u)) @ (uhat - m))
         assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-def test_bregman_eval_consistency():
-    p = make_l1_prior(1.0)
-    u, v = RNG.standard_normal(5), RNG.standard_normal(5)
-    ev = p.bregman_eval(u, v)
-    recomputed = p.energy(u) - p.energy(v) - ev.subgradient_used @ (u - v)
-    assert ev.value == pytest.approx(recomputed, abs=1e-12)
