@@ -19,10 +19,8 @@ from .operators import (LinearOperator, adjoint_probe_error,
                         cell_average_restriction, from_matrix,
                         gaussian_blur, haar_transform, identity,
                         interval_average_1d, radon)
-from .priors import (Prior, forward_differences,
-                     make_besov_prior, make_entropy_prior,
-                     make_gaussian_prior, make_l1_prior, make_power_prior,
-                     make_tv1d_prior)
+from .priors import (Prior, forward_differences, make_besov_prior,
+                     make_gaussian_prior, make_l1_prior, make_tv1d_prior)
 from .sampling import (Chain, ChainSummary, PiecewiseGaussian1D,
                        batch_means_stderr, load_chain, sample_gibbs,
                        sample_rwm, save_chain, summarize,

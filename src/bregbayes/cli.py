@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import platform
 import sys
 from pathlib import Path
@@ -235,6 +236,9 @@ _COMMANDS = {"scenario": _cmd_scenario, "map": _cmd_map, "cm": _cmd_cm,
 
 
 def main(argv=None) -> int:
+    # a no-op when the caller has configured logging already
+    logging.basicConfig(level=logging.INFO,
+                        format="%(levelname)s %(name)s: %(message)s")
     args = _arg_parser().parse_args(argv)
     cfg, writer = _load(args)
     try:

@@ -1,13 +1,13 @@
 """MAP estimation by Split-Bregman splitting.
 
-The estimate minimizes 1/2 ||f - K u||^2_P + lam J(u). For l1-type priors
-the splitting variable is d = Phi u (Phi = identity, forward differences,
-or the wavelet transform), so the shrinkage step is always a plain
-soft-threshold; a Gaussian prior is solved directly from its normal
-equations by CG. The u-step matrix K^T P K + mu Phi^T Phi is the same in
-every outer iteration, so where its structure is known it is factored
-once per solve (banded Cholesky for TV, a DCT diagonalisation for the
-reflective blur) and applied exactly; elsewhere each u-step runs CG.
+The estimate minimizes 1/2 ||f - K u||^2_P + lam J(u). The splitting
+variable is d = Phi u, Phi the identity (pixel l1), forward differences D
+(TV) or the orthonormal wavelet (Besov), so the shrinkage step is always a
+plain soft-threshold; a Gaussian prior is solved directly from its normal
+equations by CG. The u-step matrix K^T P K + mu Phi^T Phi (Phi^T Phi = I
+but for TV) is the same in every outer iteration; TV factors it once per
+solve (banded Cholesky), as does the reflective blur (a DCT
+diagonalisation), and elsewhere each u-step runs CG.
 The d- and b-updates are over-relaxed with alpha = 1.5 (Boyd et al.,
 "Distributed optimization and statistical learning via ADMM", 2011, sec.
 3.4.3); the fixed point is unchanged. Each iterate's energy takes its
@@ -170,20 +170,19 @@ def _banded_tv_solver(post: Posterior, mu: float) -> Callable:
     return solve
 
 
-def _exact_u_step(post: Posterior, mu: float,
-                  phi_orthonormal: bool) -> Optional[Callable]:
+def _exact_u_step(post: Posterior, mu: float) -> Optional[Callable]:
     """Direct solver of the u-step system where its structure is known.
 
-    TV: a banded Cholesky factor. A blur with DCT eigenvalues s, Phi^T Phi
-    = I and P = p I: A = C^T (p s^2 + mu) C, a pointwise division in DCT
-    space, with the DCT applied as dense matrices along each axis. None
-    otherwise (the u-step then runs CG).
+    TV: a banded Cholesky factor. A blur with DCT eigenvalues s and P = p I
+    (Phi^T Phi = I for the other priors): A = C^T (p s^2 + mu) C, a
+    pointwise division in DCT space, with the DCT applied as dense matrices
+    along each axis. None otherwise (the u-step then runs CG).
     """
     if post.prior.kind == "tv1d":
         return _banded_tv_solver(post, mu)
     s = post.operator.dct_eigenvalues
     p = post.noise.precision_diag
-    if not phi_orthonormal or s is None or np.any(p != p[0]):
+    if s is None or np.any(p != p[0]):
         return None
     # a 1-D grid as one column: the DCT of length 1 is the identity
     shape = s.shape if s.ndim == 2 else (s.size, 1)
@@ -201,23 +200,15 @@ def _dct_matrix(n: int) -> np.ndarray:
 
 
 def _split_structure(prior: Prior, n: int):
-    """(phi, threshold weights, uses_identity_splitting, phi_orthonormal).
-
-    ``phi_orthonormal`` means Phi^T Phi = I (the identity, or the wavelet a
-    Besov prior is built on), so the u-step needs no Phi applies.
-    """
+    """(phi, threshold weights): the identity (None) for pixel l1, forward
+    differences for TV, the orthonormal wavelet for Besov."""
     if prior.kind == "l1":
-        if prior.transform is None:
-            return None, np.ones(n), False, True
-        return prior.transform, np.ones(prior.transform.out_dim), False, False
+        return None, np.ones(n)
     if prior.kind == "tv1d":
-        return forward_differences(n), np.ones(n - 1), False, False
+        return forward_differences(n), np.ones(n - 1)
     if prior.kind == "besov":
-        return prior.transform, prior.weights, False, True
-    # generic prior with a prox: split on d = u and use prox_J directly
-    if prior.prox_fn is not None:
-        return None, None, True, True
-    raise ValueError(f"prior '{prior.kind}' provides no prox for the splitting")
+        return prior.transform, prior.weights
+    raise ValueError(f"no splitting for prior '{prior.kind}'")
 
 
 def solve_map(post: Posterior, opts: Optional[SolverOptions] = None,
@@ -232,7 +223,8 @@ def solve_map(post: Posterior, opts: Optional[SolverOptions] = None,
     logged, with the best finite iterate still returned. ``start``, an
     earlier result of the same posterior, is continued from its estimate
     and, for the splitting, its terminal d and dual; the continued solve
-    obeys ``opts`` and counts only its own iterations.
+    obeys ``opts`` and counts only its own iterations, none when ``start``
+    already meets ``tol_residual``.
     """
     opts = opts or SolverOptions()
     if post.prior.kind == "gaussian":
@@ -287,9 +279,9 @@ def _split_bregman(post: Posterior, opts: SolverOptions,
     # therefore reports the lowest-energy iterate visited, and the recorded
     # energy trace is that running best.
     rhs_data = k.adjoint_apply(prec(f))
-    phi, weights, identity_split, phi_orthonormal = _split_structure(prior, n)
+    phi, weights = _split_structure(prior, n)
     mu = opts.penalty if opts.penalty is not None else lam
-    thresh = (lam / mu) * weights if weights is not None else None
+    thresh = (lam / mu) * weights
 
     if phi is None:
         phi_apply = phi_adj = lambda u: u
@@ -297,21 +289,18 @@ def _split_bregman(post: Posterior, opts: SolverOptions,
     else:
         phi_apply, phi_adj, m_split = phi.apply, phi.adjoint_apply, phi.out_dim
 
-    def apply_a(u):
-        kt_p_k = k.adjoint_apply(prec(k.apply(u)))
-        return kt_p_k + mu * (u if phi_orthonormal else phi_adj(phi_apply(u)))
+    # CG serves only the priors with Phi^T Phi = I; TV takes the banded step
+    apply_a = lambda u: k.adjoint_apply(prec(k.apply(u))) + mu * u
 
     # the prior term of the energy from pu = Phi u, which the shrink step
     # needs anyway; the same arithmetic as prior.energy(u)
-    if identity_split:
-        prior_energy = lambda u, pu: prior.energy(u)
-    elif prior.weights is not None:
-        prior_energy = lambda u, pu: float(prior.weights @ np.abs(pu))
+    if prior.weights is not None:
+        prior_energy = lambda pu: float(prior.weights @ np.abs(pu))
     else:
-        prior_energy = lambda u, pu: float(np.abs(pu).sum())
+        prior_energy = lambda pu: float(np.abs(pu).sum())
     p_diag = post.noise.precision_diag
 
-    exact = _exact_u_step(post, mu, phi_orthonormal)
+    exact = _exact_u_step(post, mu)
     cg_iterations = 0
 
     if start is None:
@@ -320,6 +309,8 @@ def _split_bregman(post: Posterior, opts: SolverOptions,
         u, d, b = start.estimate, start.split_coefficients, start.dual / mu
     u_best = u.copy()
     e_best = _model.neg_log_posterior(post, u)
+    if start is not None and _residual_norm(post, u) <= opts.tol_residual:
+        return u_best, e_best, 0, [], [], d.copy(), start.dual, 0
     energies, residuals, it = [], [], 0
     for it in range(1, opts.max_iters + 1):
         rhs = rhs_data + mu * phi_adj(d - b)
@@ -330,15 +321,12 @@ def _split_bregman(post: Posterior, opts: SolverOptions,
             cg_iterations += its
         pu = phi_apply(u)
         relaxed = _RELAXATION * pu + (1.0 - _RELAXATION) * d
-        if identity_split:
-            d = prior.prox_fn(relaxed + b, lam / mu)
-        else:
-            v = relaxed + b
-            d = np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
+        v = relaxed + b
+        d = np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
         b = b + relaxed - d
         # neg_log_posterior(post, u), term for term
         r = f - k.apply(u)
-        energy = 0.5 * float(r @ (p_diag * r)) + lam * prior_energy(u, pu)
+        energy = 0.5 * float(r @ (p_diag * r)) + lam * prior_energy(pu)
         if not np.isfinite(energy):
             _log.warning("solve_map: non-finite iterate at iteration %d", it)
             break
@@ -369,24 +357,15 @@ def _residual_norm(post: Posterior, estimate: np.ndarray) -> float:
     p_hat = subgradient_certificate(post, estimate)
     lam = prior.lam
 
-    if prior.kind in ("gaussian", "power", "entropy"):
+    if prior.kind == "gaussian":
         grad = _model.data_misfit_gradient(post, estimate)
         return float(np.abs(grad + lam * prior.subgradient(estimate)).max())
-    if prior.kind == "l1" and prior.transform is None:
+    if prior.kind == "l1":
         return _box_violation(p_hat, estimate, np.ones_like(estimate))
-    if prior.kind in ("l1", "besov") and prior.transform is not None:
-        # eta is the least-norm solution of Phi^T eta = p_hat, that is
-        # Phi y with Phi^T Phi y = p_hat; y = p_hat when Phi^T Phi = I (the
-        # Besov wavelet, or an l1 transform with a prox)
-        phi = prior.transform
-        coef = phi.apply(estimate)
-        y = p_hat
-        if prior.kind == "l1" and prior.prox_fn is None:
-            y, _ = _cg(lambda v: phi.adjoint_apply(phi.apply(v)), p_hat,
-                       np.zeros_like(p_hat), 1e-13, 10 * p_hat.size)
-        eta = phi.apply(y)
-        w = prior.weights if prior.weights is not None else np.ones_like(coef)
-        return _box_violation(eta, coef, w)
+    if prior.kind == "besov":
+        # W orthonormal: p_hat = W^T eta gives eta = W p_hat
+        w = prior.transform
+        return _box_violation(w.apply(p_hat), w.apply(estimate), prior.weights)
     if prior.kind == "tv1d":
         # p_hat = D^T eta determines eta by cumulative sums and forces
         # the components of p_hat to sum to zero

@@ -7,6 +7,7 @@ distance D_J^q(u, v) = J(u) - J(v) - <q, u - v>.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -14,6 +15,8 @@ import numpy as np
 
 from .grids import as_vector
 from .operators import LinearOperator
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -24,13 +27,11 @@ class Prior:
     lam: float
     energy_fn: Callable[[np.ndarray], float] = field(repr=False)
     subgradient_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    prox_fn: Optional[Callable[[np.ndarray, float], np.ndarray]] = field(
-        default=None, repr=False)
+    prox_fn: Callable[[np.ndarray, float], np.ndarray] = field(repr=False)
     transform: Optional[LinearOperator] = None
     weights: Optional[np.ndarray] = None
     beta: Optional[float] = None
     l_matrix: Optional[np.ndarray] = field(default=None, repr=False)
-    power: Optional[float] = None
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -44,8 +45,6 @@ class Prior:
 
     def prox(self, v, t: float) -> np.ndarray:
         """argmin_x 1/2 ||x - v||^2 + t * J(x)."""
-        if self.prox_fn is None:
-            raise NotImplementedError(f"prox not available for {self.kind} prior")
         if t < 0:
             raise ValueError("prox step must be nonnegative")
         return self.prox_fn(as_vector(v), float(t))
@@ -108,39 +107,20 @@ def make_gaussian_prior(lam: float, beta: float,
 
 
 # ---------------------------------------------------------------------------
-# l1 (pixel domain or orthonormal transform domain)
+# l1 (pixel domain)
 # ---------------------------------------------------------------------------
 
 
-def _probe_orthonormal(phi: LinearOperator, n_probes: int = 3) -> bool:
-    rng = np.random.default_rng(12345)
-    for _ in range(n_probes):
-        u = rng.standard_normal(phi.in_dim)
-        if not np.allclose(phi.adjoint_apply(phi.apply(u)), u, atol=1e-10):
-            return False
-    return True
+def make_l1_prior(lam: float) -> Prior:
+    """J(u) = |u|_1, with the canonical subgradient sign(u), sign(0) = 0.
 
-
-def make_l1_prior(lam: float, transform: Optional[LinearOperator] = None) -> Prior:
-    """J(u) = |Phi u|_1 (Phi = identity by default).
-
-    Canonical subgradient uses sign with sign(0) = 0. The prox is
-    soft-thresholding in the Phi domain and requires Phi orthonormal.
+    The prox is soft-thresholding. An l1 prior on orthonormal transform
+    coefficients is the Besov prior with unit weights.
     """
-    if transform is None:
-        energy = lambda u: float(np.abs(u).sum())
-        subgrad = lambda u: np.sign(u)
-        prox = lambda v, t: _soft_threshold(v, t)
-    else:
-        phi = transform
-        orthonormal = _probe_orthonormal(phi)
-        energy = lambda u: float(np.abs(phi.apply(u)).sum())
-        subgrad = lambda u: phi.adjoint_apply(np.sign(phi.apply(u)))
-        if orthonormal:
-            prox = lambda v, t: phi.adjoint_apply(_soft_threshold(phi.apply(v), t))
-        else:
-            prox = None
-    return Prior("l1", lam, energy, subgrad, prox, transform=transform)
+    energy = lambda u: float(np.abs(u).sum())
+    subgrad = lambda u: np.sign(u)
+    prox = lambda v, t: _soft_threshold(v, t)
+    return Prior("l1", lam, energy, subgrad, prox)
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +150,16 @@ def _tv1d_prox(v: np.ndarray, t: float, tol: float = 1e-13,
     """Prox of t * TV via accelerated projected gradient on the dual.
 
     Solves max_{|z|_inf <= t} -1/2 ||v - D^T z||^2; the primal solution is
-    v - D^T z*. Step 1/4 since ||D D^T|| <= 4.
+    v - D^T z*. Step 1/4 since ||D D^T|| <= 4. Stops when the duality gap
+    t ||D x||_1 - <z, D x> of x = v - D^T z, which bounds the excess of
+    the prox objective at x, is at most tol (1 + ||v||^2).
     """
     if t == 0 or v.size < 2:
         return v.copy()
     z = np.zeros(v.size - 1)
     y = z.copy()
     s_prev = 1.0
-    x = v.copy()
+    stop = tol * (1.0 + float(v @ v))
     for _ in range(max_iters):
         # w = v - D^T y; ascent direction for the dual is D w
         w = v.copy()
@@ -187,12 +169,16 @@ def _tv1d_prox(v: np.ndarray, t: float, tol: float = 1e-13,
         s = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * s_prev**2))
         y = z_new + ((s_prev - 1.0) / s) * (z_new - z)
         z, s_prev = z_new, s
-        x_new = v.copy()
-        x_new[:-1] += z
-        x_new[1:] -= z
-        if np.max(np.abs(x_new - x)) <= tol * (1.0 + np.max(np.abs(v))):
-            return x_new
-        x = x_new
+        x = v.copy()
+        x[:-1] += z
+        x[1:] -= z
+        dx = np.diff(x)
+        # each term is >= 0 since |z| <= t
+        gap = float(np.sum(t * np.abs(dx) - z * dx))
+        if gap <= stop:
+            return x
+    _log.warning("TV prox: no convergence within %d iterations (duality gap "
+                 "%.3e)", max_iters, gap)
     return x
 
 
@@ -228,6 +214,15 @@ def load_weights_csv(path) -> np.ndarray:
     return load_signal_csv(path).values.copy()
 
 
+def _probe_orthonormal(phi: LinearOperator, n_probes: int = 3) -> bool:
+    rng = np.random.default_rng(12345)
+    for _ in range(n_probes):
+        u = rng.standard_normal(phi.in_dim)
+        if not np.allclose(phi.adjoint_apply(phi.apply(u)), u, atol=1e-10):
+            return False
+    return True
+
+
 def make_besov_prior(lam: float, weights, wavelet: LinearOperator) -> Prior:
     """J(u) = sum_j w_j |(W u)_j| for an orthonormal wavelet transform W."""
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
@@ -245,62 +240,3 @@ def make_besov_prior(lam: float, weights, wavelet: LinearOperator) -> Prior:
         _soft_threshold(wavelet.apply(v), t * w))
     return Prior("besov", lam, energy, subgrad, prox,
                  transform=wavelet, weights=w)
-
-
-# ---------------------------------------------------------------------------
-# scalar-separable |u|^p and entropy (completeness of the distance table)
-# ---------------------------------------------------------------------------
-
-
-def make_power_prior(lam: float, p: float) -> Prior:
-    """J(u) = sum_i |u_i|^p for 1 < p < infinity, applied componentwise."""
-    if not 1.0 < p < np.inf:
-        raise ValueError(f"power must satisfy 1 < p < inf, got {p}")
-
-    energy = lambda u: float(np.sum(np.abs(u) ** p))
-    subgrad = lambda u: p * np.sign(u) * np.abs(u) ** (p - 1.0)
-
-    def prox(v, t):
-        # solve x + t p sign(x) |x|^(p-1) = v per component; x shares v's sign
-        av = np.abs(v)
-        lo = np.zeros_like(av)
-        hi = av.copy()
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            g = mid + t * p * mid ** (p - 1.0)
-            too_big = g > av
-            hi = np.where(too_big, mid, hi)
-            lo = np.where(too_big, lo, mid)
-        return np.sign(v) * 0.5 * (lo + hi)
-
-    return Prior("power", lam, energy, subgrad, prox, power=p)
-
-
-def make_entropy_prior(lam: float) -> Prior:
-    """J(u) = sum_i (u_i log u_i - u_i) on u >= 0; Bregman distance is KL."""
-
-    def energy(u):
-        if np.any(u < 0):
-            return np.inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(u > 0, u * np.log(u) - u, 0.0)
-        return float(terms.sum())
-
-    def subgrad(u):
-        if np.any(u <= 0):
-            raise ValueError("entropy subgradient requires u > 0")
-        return np.log(u)
-
-    def prox(v, t):
-        # solve x + t log x = v, x > 0 (g is increasing, -inf at 0+)
-        hi = np.maximum(np.exp(np.minimum(v / max(t, 1e-300), 700.0)), v) + 1.0
-        lo = np.full_like(np.asarray(v, dtype=float), 1e-300)
-        for _ in range(300):
-            mid = 0.5 * (lo + hi)
-            g = mid + t * np.log(mid)
-            too_big = g > v
-            hi = np.where(too_big, mid, hi)
-            lo = np.where(too_big, lo, mid)
-        return 0.5 * (lo + hi)
-
-    return Prior("entropy", lam, energy, subgrad, prox)

@@ -581,8 +581,7 @@ def gibbs_layout(post: Posterior) -> GibbsLayout:
     """
     prior = post.prior
     kind = prior.kind
-    if kind not in _GIBBS_PRIORS or (kind == "l1"
-                                     and prior.transform is not None):
+    if kind not in _GIBBS_PRIORS:
         raise ValueError(f"sample_gibbs: unsupported prior structure "
                          f"'{kind}'")
     op = post.operator
@@ -805,8 +804,8 @@ def rwm_layout(post: Posterior) -> RwmLayout:
     """
     prior = post.prior
     kind = prior.kind
-    if not (kind == "besov" or (kind == "gaussian" and prior.l_matrix is None)
-            or (kind == "l1" and prior.transform is None)):
+    if not (kind in ("besov", "l1")
+            or (kind == "gaussian" and prior.l_matrix is None)):
         raise ValueError(f"sample_rwm: unsupported prior '{kind}' (RWM serves "
                          f"Besov, pixel l1 and Gaussian with L = I)")
     ptr, rows, vals = _flat_columns(post.operator)

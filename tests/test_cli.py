@@ -252,6 +252,31 @@ def test_cli_verify_refuses_unconverged_map(tmp_path, capsys):
     assert {"path": "map_trace.csv", "kind": "trace_csv"} in manifest["artifacts"]
 
 
+def _run_cli(args, timeout=300):
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "bregbayes.cli", *args],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_cli_logs_diagnostics_from_a_plain_shell(tmp_path):
+    # no caller configures logging here, so the CLI must
+    path = _write(tmp_path, TINY_DEBLUR.replace("max_iters = 1000",
+                                                "max_iters = 20"), "short.ini")
+    proc = _run_cli(["verify", str(path), "--out-dir", str(tmp_path / "v")])
+    assert proc.returncode == 3
+    err = proc.stderr.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith("WARNING bregbayes.map_solver: solve_map: "
+                             "no convergence within 20 iterations")
+    assert err[1].startswith("bregbayes verify: refused: verification needs "
+                             "a converged MAP")
+    path = _write(tmp_path, TINY_DEBLUR)
+    proc = _run_cli(["cm", str(path), "--out-dir", str(tmp_path / "cm")])
+    assert proc.returncode == 0
+    assert "INFO bregbayes.experiments: sampling: sample_s=" in proc.stderr
+
+
 def test_cli_dilemma(tmp_path):
     path = _write(tmp_path, TINY_TV)
     out = tmp_path / "out"

@@ -16,7 +16,7 @@ from bregbayes.model import GaussianNoiseModel, Posterior, neg_log_posterior
 from bregbayes.operators import (from_matrix, gaussian_blur, haar_transform,
                                  interval_average_1d)
 from bregbayes.priors import (make_besov_prior, make_gaussian_prior,
-                              make_l1_prior, make_power_prior, make_tv1d_prior)
+                              make_l1_prior, make_tv1d_prior)
 
 RNG = np.random.default_rng(321)
 
@@ -192,29 +192,6 @@ def test_besov_u_step_applies_no_wavelet():
     assert calls[0] <= 8 * res.iterations
 
 
-def test_l1_non_orthonormal_transform_solves_to_optimality():
-    # Phi^T Phi != I keeps Phi in the u-step; check the MAP condition
-    # K^T P (f - K u) / lam = Phi^T eta, eta in the sign set of Phi u,
-    # with eta recovered by an exact solve
-    n = 8
-    phi = np.eye(n) + 0.3 * RNG.standard_normal((n, n))
-    k = RNG.standard_normal((n + 2, n)) + np.eye(n + 2, n)
-    f = RNG.standard_normal(n + 2)
-    lam = 0.4
-    post = _posterior(k, f, 0.8, make_l1_prior(lam, from_matrix(phi)))
-    assert post.prior.prox_fn is None  # the prior saw a non-orthonormal Phi
-    opts = SolverOptions(max_iters=20000)
-    res = solve_map(post, opts)
-    assert res.converged
-    assert res.residual_norm <= opts.tol_residual
-    eta = np.linalg.solve(phi.T, subgradient_certificate(post, res.estimate))
-    coef = phi @ res.estimate
-    zero = np.abs(coef) <= 1e-6 * np.abs(coef).max()
-    assert zero.any() and not zero.all()
-    np.testing.assert_allclose(eta[~zero], np.sign(coef[~zero]), atol=1e-6)
-    assert np.all(np.abs(eta[zero]) <= 1.0 + 1e-6)
-
-
 @pytest.mark.parametrize("case", ["interval_average_255", "dense_12"])
 def test_banded_tv_u_step_matches_dense_solve(case, monkeypatch):
     # (K^T P K + mu D^T D) u = rhs, banded factor against a dense solve,
@@ -306,7 +283,7 @@ def test_dct_u_step_matches_dense_solve(grid):
     a = post.noise.precision_diag[0] * kd.T @ kd + mu * np.eye(grid.size)
     rhs = np.random.default_rng(1).standard_normal(grid.size)
     dense = np.linalg.solve(a, rhs)
-    by_dct = _exact_u_step(post, mu, phi_orthonormal=True)(rhs)
+    by_dct = _exact_u_step(post, mu)(rhs)
     assert np.abs(by_dct - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
@@ -328,19 +305,21 @@ _CONTINUED_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(_CONTINUED_CASES))
-def test_continuing_a_converged_solve_stops_at_the_first_residual_test(case):
+def test_continuing_a_converged_solve_returns_its_start(case):
     make_post, opts = _CONTINUED_CASES[case]
     post = make_post(np.random.default_rng(5))
     cold = solve_map(post, opts)
     assert cold.converged and cold.iterations > 10
-    # the dual is carried as mu b, so a continued solve may change mu
+    # a start that meets tol_residual is returned as it is, at any penalty
     for penalty in (opts.penalty, 2.0 * opts.penalty):
         cont = solve_map(post, dataclasses.replace(opts, penalty=penalty), cold)
-        assert cont.converged and cont.iterations == 10
-        assert cont.residual_norm <= opts.tol_residual
-        assert np.abs(cont.estimate - cold.estimate).max() <= opts.tol_residual
-        # the splitting state stays at the fixed point it started from
-        assert np.abs(cont.dual - cold.dual).max() <= 1e-5 * post.prior.lam
+        assert cont.converged and cont.iterations == 0
+        assert cont.residual_norm == cold.residual_norm
+        assert np.array_equal(cont.estimate, cold.estimate)
+        assert cont.final_energy == cold.final_energy
+        # the splitting state is the one it started from
+        assert np.array_equal(cont.split_coefficients, cold.split_coefficients)
+        assert np.array_equal(cont.dual, cold.dual)
 
 
 @pytest.mark.parametrize("case", sorted(_CONTINUED_CASES))
@@ -378,21 +357,15 @@ def _energy_case(case, rng):
     f = rng.standard_normal(n + 2)
     if case == "pixel_l1":
         prior = make_l1_prior(0.5)
-    elif case == "l1_non_orthonormal":
-        phi = np.eye(n) + 0.3 * rng.standard_normal((n, n))
-        prior = make_l1_prior(0.5, from_matrix(phi))
     elif case == "tv":
         prior = make_tv1d_prior(0.5)
-    elif case == "besov":
+    else:
         prior = make_besov_prior(0.5, rng.uniform(0.5, 2.0, n),
                                  haar_transform(grid1d(n)))
-    else:
-        prior = make_power_prior(0.5, 1.5)  # split on d = u, through its prox
     return _posterior(k, f, 0.8, prior)
 
 
-@pytest.mark.parametrize("case", ["pixel_l1", "l1_non_orthonormal", "tv",
-                                  "besov", "prox_split"])
+@pytest.mark.parametrize("case", ["pixel_l1", "tv", "besov"])
 def test_final_energy_is_the_posterior_energy_bitwise(case):
     # the loop computes its energies from the Phi u of the shrink step and
     # one K apply; they must equal neg_log_posterior exactly

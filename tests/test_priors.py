@@ -3,10 +3,9 @@ import pytest
 from scipy.optimize import minimize
 
 from bregbayes.grids import grid1d
-from bregbayes.operators import haar_transform, identity
-from bregbayes.priors import (make_besov_prior, make_entropy_prior,
-                              make_gaussian_prior, make_l1_prior,
-                              make_power_prior, make_tv1d_prior)
+from bregbayes.operators import haar_transform
+from bregbayes.priors import (make_besov_prior, make_gaussian_prior,
+                              make_l1_prior, make_tv1d_prior)
 
 RNG = np.random.default_rng(42)
 
@@ -18,7 +17,6 @@ def _all_priors(n=6):
         make_gaussian_prior(0.7, 2.0, RNG.standard_normal((n, n)) + 3 * np.eye(n)),
         make_l1_prior(0.5),
         make_tv1d_prior(1.2),
-        make_power_prior(1.0, 1.5),
     ]
     if w is not None:
         priors.append(make_besov_prior(0.8, np.ones(8), w))
@@ -121,26 +119,6 @@ def test_l1_prox_matches_brute_force():
     assert mine <= oracle_fun + 1e-9
 
 
-def test_l1_transform_domain():
-    w = haar_transform(grid1d(8))
-    p = make_l1_prior(1.0, transform=w)
-    u = RNG.standard_normal(8)
-    assert p.energy(u) == pytest.approx(np.abs(w.apply(u)).sum())
-    # prox via orthonormal transform: check optimality against oracle
-    got = p.prox(u, 0.4)
-    _, oracle_fun = _prox_oracle(p, u, 0.4)
-    mine = 0.5 * np.sum((got - u) ** 2) + 0.4 * p.energy(got)
-    assert mine <= oracle_fun + 1e-8
-
-
-def test_l1_prox_requires_orthonormal_transform():
-    bad = identity(4)
-    bad = type(bad)(4, 4, lambda u: 2 * u, lambda v: 2 * v, "2I")
-    p = make_l1_prior(1.0, transform=bad)
-    with pytest.raises(NotImplementedError):
-        p.prox(np.ones(4), 0.1)
-
-
 # -- tv1d --------------------------------------------------------------------
 
 def test_tv_energy_values():
@@ -163,6 +141,20 @@ def test_tv_prox_matches_brute_force_small():
             np.testing.assert_allclose(got, oracle_x, atol=1e-6)
             mine = 0.5 * np.sum((got - v) ** 2) + t * p.energy(got)
             assert abs(mine - oracle_fun) < 1e-9
+
+
+def test_tv_prox_does_not_stop_on_a_stalled_iterate():
+    # the clipped dual iterate lands on the same box corner twice long
+    # before the optimum; an iterate-stall stop returned
+    # [-1.319, -1.481, -1.46] here, 0.038 above the optimal objective
+    p = make_tv1d_prior(1.0)
+    v, t = np.array([-0.419, -1.481, -2.36]), 0.9
+    got = p.prox(v, t)
+    oracle_x, oracle_fun = _tv_prox_bruteforce(v, t)
+    np.testing.assert_allclose(got, [-1.319, -1.4705, -1.4705], atol=1e-9)
+    np.testing.assert_allclose(got, oracle_x, atol=1e-9)
+    mine = 0.5 * np.sum((got - v) ** 2) + t * p.energy(got)
+    assert abs(mine - oracle_fun) < 1e-9
 
 
 def test_tv_requires_two_samples():
@@ -208,50 +200,26 @@ def test_besov_weights_from_csv(tmp_path):
     assert prior.energy(u) > 0
 
 
+def test_besov_prox_matches_oracle():
+    # soft-thresholding in the Haar domain with per-coefficient thresholds;
+    # its own generator leaves the module stream alone
+    rng = np.random.default_rng(8)
+    w = haar_transform(grid1d(8))
+    p = make_besov_prior(1.0, rng.uniform(0.3, 2.0, 8), w)
+    for t in (0.1, 0.4):
+        v = rng.standard_normal(8)
+        got = p.prox(v, t)
+        _, oracle_fun = _prox_oracle(p, v, t)
+        mine = 0.5 * np.sum((got - v) ** 2) + t * p.energy(got)
+        assert mine <= oracle_fun + 1e-8
+
+
 def test_besov_validation():
     w = haar_transform(grid1d(8))
     with pytest.raises(ValueError):
         make_besov_prior(1.0, np.ones(7), w)
     with pytest.raises(ValueError):
         make_besov_prior(1.0, -np.ones(8), w)
-
-
-# -- power / entropy ---------------------------------------------------------
-
-def test_power_bregman_matches_table_formula():
-    for p_exp in (1.5, 2.0, 3.0):
-        pr = make_power_prior(1.0, p_exp)
-        for _ in range(20):
-            u, v = RNG.standard_normal(), RNG.standard_normal()
-            expected = (abs(u) ** p_exp - p_exp * u * np.sign(v) *
-                        abs(v) ** (p_exp - 1) + (p_exp - 1) * abs(v) ** p_exp)
-            assert pr.bregman([u], [v]) == pytest.approx(expected, abs=1e-10)
-
-
-def test_power_prox_matches_oracle():
-    pr = make_power_prior(1.0, 1.5)
-    v = np.array([2.0, -1.0, 0.3])
-    got = pr.prox(v, 0.4)
-    _, oracle_fun = _prox_oracle(pr, v, 0.4)
-    mine = 0.5 * np.sum((got - v) ** 2) + 0.4 * pr.energy(got)
-    assert mine <= oracle_fun + 1e-7
-
-
-def test_entropy_kl_value():
-    p = make_entropy_prior(1.0)
-    assert p.bregman([2.0], [1.0]) == pytest.approx(2 * np.log(2) - 1, abs=1e-12)
-    # KL formula on random positive pairs
-    for _ in range(20):
-        u, v = RNG.uniform(0.1, 4.0, 2)
-        assert p.bregman([u], [v]) == pytest.approx(u * np.log(u / v) + v - u,
-                                                    abs=1e-10)
-
-
-def test_entropy_prox_solves_stationarity():
-    p = make_entropy_prior(1.0)
-    v = np.array([2.0, 0.5, -1.0])
-    x = p.prox(v, 0.3)
-    np.testing.assert_allclose(x + 0.3 * np.log(x), v, atol=1e-9)
 
 
 # -- shared invariants --------------------------------------------------------

@@ -10,9 +10,8 @@ from bregbayes.grids import Signal, grid1d, grid2d
 from bregbayes.model import GaussianNoiseModel, Posterior
 from bregbayes.operators import (from_matrix, gaussian_blur, haar_transform,
                                  interval_average_1d, sparse_columns)
-from bregbayes.priors import (make_besov_prior, make_entropy_prior,
-                              make_gaussian_prior, make_l1_prior,
-                              make_power_prior, make_tv1d_prior)
+from bregbayes.priors import (make_besov_prior, make_gaussian_prior,
+                              make_l1_prior, make_tv1d_prior)
 from bregbayes import sampling
 from bregbayes.sampling import (Chain, PiecewiseGaussian1D, _l1_draw,
                                 _pg_draw, _pg_draw_scalar, _pg_table,
@@ -725,11 +724,8 @@ def test_block_rwm_is_the_sequential_chain(label, block, monkeypatch):
 
 @pytest.mark.parametrize("prior", [
     make_tv1d_prior(1.0),
-    make_power_prior(1.0, 1.5),
-    make_entropy_prior(1.0),
-    make_l1_prior(1.0, haar_transform(grid1d(4))),
     make_gaussian_prior(1.0, 1.0, np.eye(4)),
-], ids=["tv1d", "power", "entropy", "l1_transform", "gaussian_l"])
+], ids=["tv1d", "gaussian_l"])
 def test_rwm_rejects_unsupported_priors(prior):
     post = _post(np.eye(4), np.zeros(4), 1.0, prior)
     with pytest.raises(ValueError, match=f"'{prior.kind}'"):
