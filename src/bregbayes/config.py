@@ -87,6 +87,12 @@ def parse_config_text(text: str) -> ScenarioConfig:
     if name not in SCENARIOS:
         raise ValueError(f"config must set [scenario] name to one of "
                          f"{SCENARIOS}, got {name!r}")
+    foreign = sorted(set(values) & set(SCENARIOS) - {name})
+    if foreign:
+        raise ValueError(f"section [{foreign[0]}] in a {name} config")
+    if name != "ct2d" and "step" in values.get("sampler", {}):
+        raise ValueError(f"[sampler] step: {name} samples by Gibbs, which "
+                         f"takes no step")
 
     solver = SolverOptions(
         penalty=get("solver", "penalty", None),
@@ -94,8 +100,6 @@ def parse_config_text(text: str) -> ScenarioConfig:
         tol_residual=get("solver", "tol_residual", 1e-4),
         cg_tol=get("solver", "cg_tol", 1e-10),
     )
-    default_shape = {"deblur2d": (64, 64), "tv1d": (63,),
-                     "ct2d": (64, 64)}[name]
     default_noise = {"deblur2d": 0.1, "tv1d": 0.1, "ct2d": 0.01}[name]
     lambda_rule = get("prior", "rule", None)
     if lambda_rule is None:
@@ -106,7 +110,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
     return ScenarioConfig(
         name=name,
         seed=get("scenario", "seed", 0),
-        recon_shape=tuple(get("grid", "shape", default_shape)),
+        recon_shape=get("grid", "shape", None),
         truth_factor=get("grid", "truth_factor", 4),
         noise_fraction=get("noise", "fraction", default_noise),
         prior_kind=get("prior", "kind", None),

@@ -43,6 +43,8 @@ _log = logging.getLogger(__name__)
 SCENARIOS = ("deblur2d", "tv1d", "ct2d")
 # the prior each scenario is built with
 SCENARIO_PRIORS = {"deblur2d": "l1", "tv1d": "tv1d", "ct2d": "besov"}
+# the reconstruction grid of each scenario when the config sets none
+_DEFAULT_SHAPES = {"deblur2d": (64, 64), "tv1d": (63,), "ct2d": (64, 64)}
 
 
 class Refused(ValueError):
@@ -55,7 +57,7 @@ class ScenarioConfig:
 
     name: str
     seed: int = 0
-    recon_shape: tuple[int, ...] = (64, 64)
+    recon_shape: Optional[tuple[int, ...]] = None  # None: scenario default
     truth_factor: int = 4
     noise_fraction: float = 0.1
     # prior / lambda rule
@@ -94,6 +96,20 @@ class ScenarioConfig:
         elif self.prior_kind != prior:
             raise ValueError(f"[prior] kind = {self.prior_kind!r}: scenario "
                              f"{self.name} is built with the {prior} prior")
+        shape = tuple(_DEFAULT_SHAPES[self.name] if self.recon_shape is None
+                      else self.recon_shape)
+        object.__setattr__(self, "recon_shape", shape)
+        if (len(shape) != len(_DEFAULT_SHAPES[self.name])
+                or len(set(shape)) != 1 or min(shape) < 1):
+            raise ValueError(f"[grid] shape = {' '.join(map(str, shape))}: "
+                             f"{self.name} needs one side, or two equal ones")
+        if (self.n_samples < 1 or self.thinning < 1 or self.n_chains < 2
+                or (self.burn_in or 0) < 0 or self.rwm_step <= 0):
+            raise ValueError(f"[sampler] needs samples, thinning >= 1, "
+                             f"chains >= 2 (two chains are compared), "
+                             f"burn_in >= 0, step > 0; got {self.n_samples}, "
+                             f"{self.thinning}, {self.n_chains}, "
+                             f"{self.burn_in}, {self.rwm_step}")
         if self.noise_fraction <= 0:
             raise ValueError("noise fraction must be positive")
         if self.truth_factor < 1 or int(self.truth_factor) != self.truth_factor:

@@ -131,7 +131,7 @@ def subgradient_certificate(post: Posterior, estimate: np.ndarray) -> np.ndarray
 def _banded_tv_solver(post: Posterior, mu: float) -> Callable:
     """Exact solve with A = K^T P K + mu D^T D, factored once.
 
-    A is assembled sparse from the columns of K; its band is as wide as
+    A is assembled sparse from the CSC matrix of K; its band is as wide as
     the widest coupling of two cells through one data row (about n/m + 1
     for interval averages), and only that band is stored and factored.
     A is singular exactly when K maps constants to zero; the TV MAP
@@ -140,13 +140,8 @@ def _banded_tv_solver(post: Posterior, mu: float) -> Callable:
     import scipy.sparse as sp
     from scipy.linalg import cholesky_banded, get_lapack_funcs
 
-    k = post.operator
-    n = k.in_dim
-    cols = sparse_columns(k)
-    ptr = np.concatenate(([0], np.cumsum([r.size for r, _ in cols])))
-    kmat = sp.csc_array((np.concatenate([v for _, v in cols]),
-                         np.concatenate([r for r, _ in cols]), ptr),
-                        shape=(k.out_dim, n))
+    kmat = sparse_columns(post.operator)
+    n = kmat.shape[1]
     if not np.any(kmat @ np.ones(n)):
         raise ValueError("TV prior with an operator that maps constants to "
                          "zero: the MAP estimate is not unique")

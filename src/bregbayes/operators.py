@@ -12,25 +12,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .grids import Grid
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
 class LinearOperator:
     """Linear map with an explicit adjoint.
 
-    ``matrix`` is the assembled sparse matrix behind ``apply`` and
+    ``matrix`` is the assembled CSC matrix behind ``apply`` and
     ``adjoint_apply`` when there is one (no explicit zeros); callers still
-    go through ``apply``, and :func:`sparse_columns` reads its columns.
-    ``columns`` builds the column structure on demand for an operator
-    that keeps no matrix, so no long-lived copy exists. ``dct_eigenvalues``
+    go through ``apply``, and :func:`sparse_columns` returns it.
+    ``columns`` builds that CSC matrix on demand for an operator that
+    applies without one, so no long-lived copy exists. ``dct_eigenvalues``
     s, shaped like the grid, mean K = C^T diag(s) C with C the orthonormal
     n-D DCT-II.
     """
@@ -42,8 +40,8 @@ class LinearOperator:
     name: str = "operator"
     matrix: Optional[sp.csc_array] = field(default=None, repr=False,
                                            compare=False)
-    columns: Optional[Callable[[], list[tuple[np.ndarray, np.ndarray]]]] = \
-        field(default=None, repr=False, compare=False)
+    columns: Optional[Callable[[], sp.csc_array]] = field(
+        default=None, repr=False, compare=False)
     dct_eigenvalues: Optional[np.ndarray] = field(default=None, repr=False,
                                                   compare=False)
 
@@ -73,34 +71,24 @@ def identity(n: int) -> LinearOperator:
 def from_matrix(a: np.ndarray, name: str = "matrix") -> LinearOperator:
     a = np.asarray(a, dtype=np.float64)
     m, n = a.shape
-    return LinearOperator(n, m, lambda u: a @ u, lambda v: a.T @ v, name)
+    return LinearOperator(n, m, lambda u: a @ u, lambda v: a.T @ v, name,
+                          sp.csc_array(a))
 
 
-def sparse_columns(op: LinearOperator) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Column sparsity of K: one (indices, values) pair per input coordinate.
+def sparse_columns(op: LinearOperator) -> sp.csc_array:
+    """The columns of K as one CSC matrix.
 
-    Read from the assembled matrix, or built by the operator's own
-    ``columns``, when it has either; otherwise probed with unit vectors.
-    Used by the samplers for incremental residual updates and by the
+    The assembled ``matrix`` when the operator keeps one, else the matrix
+    its ``columns`` builds; an operator with neither is refused. Read by
+    the samplers (colouring, incremental residual updates) and by the
     banded TV u-step.
     """
     if op.matrix is not None:
-        csc = op.matrix.tocsc()
-        rows = csc.indices.astype(np.intp)
-        ptr = csc.indptr
-        return [(rows[ptr[i]:ptr[i + 1]], csc.data[ptr[i]:ptr[i + 1]])
-                for i in range(op.in_dim)]
+        return op.matrix
     if op.columns is not None:
         return op.columns()
-    cols = []
-    e = np.zeros(op.in_dim)
-    for i in range(op.in_dim):
-        e[i] = 1.0
-        k = op.apply(e)
-        e[i] = 0.0
-        idx = np.nonzero(k)[0]
-        cols.append((idx, k[idx].copy()))
-    return cols
+    raise ValueError(f"{op.name}: no column structure (neither an assembled "
+                     f"matrix nor a column builder)")
 
 
 # ---------------------------------------------------------------------------
@@ -116,23 +104,23 @@ def _gaussian_kernel(sigma_phys: float, h: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _reflective_columns(kernel: np.ndarray,
-                        n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Columns of the n x n matrix of ``convolve1d(., kernel, "reflect")``.
+def _reflective_matrix(kernel: np.ndarray, n: int) -> sp.csc_array:
+    """The n x n CSC matrix of ``convolve1d(., kernel, "reflect")``.
 
     The matrix is symmetric, so column j is row j: the kernel laid over
     j, its indices off the grid folded back half-sample symmetrically
     (repeatedly for a kernel longer than the grid), folded duplicates
-    summed; rows come sorted.
+    summed in kernel order; rows come sorted.
     """
     r = kernel.size // 2
-    cols = []
-    for j in range(n):
-        idx = np.arange(j - r, j + r + 1) % (2 * n)
-        rows, where = np.unique(np.where(idx >= n, 2 * n - 1 - idx, idx),
-                                return_inverse=True)
-        cols.append((rows, np.bincount(where, weights=kernel)))
-    return cols
+    idx = (np.arange(n)[:, None] + np.arange(-r, r + 1)) % (2 * n)
+    flat = n * np.arange(n)[:, None] + np.where(idx >= n, 2 * n - 1 - idx, idx)
+    keys, where = np.unique(flat, return_inverse=True)
+    vals = np.bincount(where.reshape(-1), weights=np.tile(kernel, n))
+    indptr = np.searchsorted(keys, n * np.arange(n + 1))
+    # int32 indices, as Radon and Haar use, keep the Kronecker product small
+    return sp.csc_array((vals, (keys % n).astype(np.int32),
+                         indptr.astype(np.int32)), shape=(n, n))
 
 
 def _dct_eigenvalues(kernel: np.ndarray, n: int) -> np.ndarray:
@@ -155,9 +143,9 @@ def gaussian_blur(grid: Grid, kernel_sigma: float) -> LinearOperator:
     truncated at 4 sigma and renormalized; with the reflective (half-sample
     symmetric) boundary the resulting matrix is exactly symmetric, so the
     operator is self-adjoint. Its matrix is the Kronecker product of the
-    1-D reflective matrices, and ``columns`` builds its columns from
-    theirs. While the kernel radius is below every grid side, the
-    orthonormal DCT-II diagonalises it (``dct_eigenvalues``).
+    1-D reflective matrices, which ``columns`` builds as one CSC matrix.
+    While the kernel radius is below every grid side, the orthonormal
+    DCT-II diagonalises it (``dct_eigenvalues``).
     """
     # imported here so scenarios without a blur do not load scipy.ndimage
     from scipy.ndimage import convolve1d
@@ -168,15 +156,12 @@ def gaussian_blur(grid: Grid, kernel_sigma: float) -> LinearOperator:
     widths = grid.cell_widths()
     kernels = [_gaussian_kernel(kernel_sigma, h) for h in widths]
 
-    def columns() -> list[tuple[np.ndarray, np.ndarray]]:
-        axes = [_reflective_columns(k, s) for k, s in zip(kernels, shape)]
+    def columns() -> sp.csc_array:
+        axes = [_reflective_matrix(k, s) for k, s in zip(kernels, shape)]
         if grid.dim == 1:
             return axes[0]
         # column (i, j) of kron(A0, A1) is the outer product of their columns
-        side = shape[1]
-        return [((r0[:, None] * side + r1).reshape(-1),
-                 np.outer(v0, v1).reshape(-1))
-                for r0, v0 in axes[0] for r1, v1 in axes[1]]
+        return sp.csc_array(sp.kron(*axes, format="csc"))
 
     eig = None
     if all(k.size // 2 < s for k, s in zip(kernels, shape)):
@@ -217,9 +202,6 @@ def radon(grid: Grid, num_angles: int, num_bins: int) -> LinearOperator:
     total image mass. The operator is assembled as one sparse matrix; the
     adjoint is its transpose.
     """
-    # imported here so scenarios without Radon do not load scipy.sparse
-    import scipy.sparse as sp
-
     if grid.dim != 2:
         raise ValueError("radon requires a 2D grid")
     if num_angles <= 0 or num_bins <= 0:
@@ -280,8 +262,6 @@ def _haar_step(side: int, m: int) -> sp.csr_array:
     Pair sums e_2k + e_2k+1 fill rows 0..m/2-1 and pair differences
     e_2k - e_2k+1 rows m/2..m-1; rows from m on are zero.
     """
-    import scipy.sparse as sp
-
     k = np.arange(m // 2)
     rows = np.concatenate([k, k, k + m // 2, k + m // 2])
     cols = np.concatenate([2 * k, 2 * k + 1, 2 * k, 2 * k + 1])
@@ -299,8 +279,6 @@ def haar_transform(grid: Grid, levels: int | None = None) -> LinearOperator:
     of sides ``side >> l`` by the Kronecker product of the 1-D steps,
     scaled by 2^(-dim/2), and leaves every entry outside it unchanged.
     """
-    import scipy.sparse as sp
-
     sides = grid.shape
     for s in sides:
         if not _is_pow2(s):
@@ -313,7 +291,7 @@ def haar_transform(grid: Grid, levels: int | None = None) -> LinearOperator:
         raise ValueError(f"levels must be in [1, {max_levels}], got {levels}")
     n = grid.size
     scale = 2.0 ** (-grid.dim / 2)  # exactly 0.5 in 2D
-    matrix = sp.eye_array(n, format="csr")
+    matrix = sp.diags_array(np.ones(n), format="csr")  # the identity
     for level in range(levels):
         blocks = [s >> level for s in sides]
         step = reduce(sp.kron,
@@ -384,8 +362,6 @@ def interval_average_1d(fine: Grid, num_intervals: int) -> LinearOperator:
     divide the grid size; overlaps are weighted by intersection length.
     The operator is assembled as one sparse matrix.
     """
-    import scipy.sparse as sp
-
     if fine.dim != 1:
         raise ValueError("interval_average_1d requires a 1D grid")
     if num_intervals <= 0:

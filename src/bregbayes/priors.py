@@ -229,8 +229,8 @@ def make_besov_prior(lam: float, weights, wavelet: LinearOperator) -> Prior:
     if w.size != wavelet.out_dim:
         raise ValueError(
             f"weight length {w.size} != coefficient count {wavelet.out_dim}")
-    if np.any(w <= 0):
-        raise ValueError("all weights must be positive")
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError("all weights must be positive and finite")
     if not _probe_orthonormal(wavelet):
         raise ValueError("wavelet transform must be orthonormal")
 

@@ -451,6 +451,12 @@ class Chain:
             raise ValueError("chain needs at least one sample")
         if not np.all(np.isfinite(s)):
             raise ValueError("chain contains non-finite samples")
+        acc = self.acceptance_rate
+        if (self.burn_in < 0 or self.thinning < 1
+                or not (acc is None or 0.0 <= acc <= 1.0)):
+            raise ValueError(f"chain needs burn_in >= 0, thinning >= 1 and "
+                             f"an acceptance rate in [0, 1], got "
+                             f"{self.burn_in}, {self.thinning}, {acc}")
         object.__setattr__(self, "samples", s)
 
     def __len__(self) -> int:
@@ -537,10 +543,10 @@ class GibbsLayout:
     """Colour classes of a posterior and its columns of K in scan order.
 
     Built once per posterior by :func:`gibbs_layout` and shared by its
-    chains. Row j of the packed arrays belongs to coordinate ``order[j]``,
-    and colour class k is ``order[bounds[k]:bounds[k + 1]]``, in index
-    order. Columns are padded to a common length with value 0 at row
-    ``out_dim``, a spare residual slot that stays 0.
+    chains. Row j of the padded arrays holds column ``order[j]`` of K's
+    CSC matrix (``sparse_columns``), and colour class k is
+    ``order[bounds[k]:bounds[k + 1]]``, in index order. Columns are padded
+    with value 0 at row ``out_dim``, a spare residual slot that stays 0.
     """
 
     order: np.ndarray = field(repr=False)  # (n,) coordinates in scan order
@@ -551,17 +557,18 @@ class GibbsLayout:
     colnorm: np.ndarray = field(repr=False)  # (n,) ||K e_i||_P^2
 
 
-def _greedy_colouring(cols, n_rows: int, neighbours) -> np.ndarray:
+def _greedy_colouring(csc, neighbours) -> np.ndarray:
     """Smallest free colour per coordinate, coordinates taken in index order.
 
     Two coordinates conflict when their columns share a data row, or when
     ``neighbours(i)`` lists the earlier one (a coupling through the prior).
     ``used[r]`` is the bitmask of colours whose columns touch data row r.
     """
-    used = [0] * n_rows
+    used = [0] * csc.shape[0]
+    ptr = csc.indptr.tolist()
     colour: list[int] = []
-    for i, (rows, _) in enumerate(cols):
-        rows = rows.tolist()
+    for i in range(csc.shape[1]):
+        rows = csc.indices[ptr[i]:ptr[i + 1]].tolist()
         taken = reduce(or_, map(used.__getitem__, rows), 0)
         for j in neighbours(i):
             taken |= 1 << colour[j]
@@ -574,7 +581,7 @@ def _greedy_colouring(cols, n_rows: int, neighbours) -> np.ndarray:
 
 
 def gibbs_layout(post: Posterior) -> GibbsLayout:
-    """Colour the coordinates of ``post`` and pack the columns of K.
+    """Colour the coordinates of ``post`` and pad the columns of K.
 
     Coordinates of one colour share no data row, no TV edge and no entry
     of L^T L, so their conditionals are independent given the rest.
@@ -585,7 +592,7 @@ def gibbs_layout(post: Posterior) -> GibbsLayout:
         raise ValueError(f"sample_gibbs: unsupported prior structure "
                          f"'{kind}'")
     op = post.operator
-    cols = sparse_columns(op)
+    csc = sparse_columns(op)
     if kind == "tv1d":
         neighbours = lambda i: (i - 1,) if i > 0 else ()
     elif kind == "gaussian" and prior.l_matrix is not None:
@@ -593,23 +600,22 @@ def gibbs_layout(post: Posterior) -> GibbsLayout:
         neighbours = lambda i: np.flatnonzero(coupled[i, :i]).tolist()
     else:
         neighbours = lambda i: ()
-    colour = _greedy_colouring(cols, op.out_dim, neighbours)
+    colour = _greedy_colouring(csc, neighbours)
     order = np.argsort(colour, kind="stable")
     bounds = np.searchsorted(colour[order], np.arange(colour.max() + 2))
-    n = len(cols)
-    width = max(r.size for r, _ in cols)
-    rows = np.full((n, width), op.out_dim, dtype=np.intp)
-    vals = np.zeros((n, width))
-    pvals = np.zeros((n, width))
-    colnorm = np.empty(n)
-    prec = post.noise.precision_diag
-    for j, i in enumerate(order):
-        r, v = cols[i]
-        pv = v * prec[r]
-        rows[j, :r.size] = r
-        vals[j, :r.size] = v
-        pvals[j, :r.size] = pv
-        colnorm[j] = float(v @ pv)
+    scan = csc[:, order]
+    del csc  # a blur builds its matrix afresh: free it before padding
+    ptr, r, v = scan.indptr, scan.indices, scan.data
+    pv = v * post.noise.precision_diag[r]
+    # one dot product per column, over its entries only: a padded row
+    # would change the summation order
+    colnorm = np.array([float(v[p0:p1] @ pv[p0:p1])
+                        for p0, p1 in zip(ptr[:-1], ptr[1:])])
+    counts = np.diff(ptr)
+    mask = np.arange(counts.max()) < counts[:, None]
+    rows = np.full(mask.shape, op.out_dim, dtype=np.intp)
+    vals, pvals = np.zeros(mask.shape), np.zeros(mask.shape)
+    rows[mask], vals[mask], pvals[mask] = r, v, pv
     if np.any(colnorm <= 0.0) and kind != "gaussian":
         raise ValueError("non-normalizable conditional: operator has a zero "
                          "column and the prior adds no curvature")
@@ -766,12 +772,11 @@ def _flat_columns(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``np.add.reduceat`` returns the next element, not 0, for an empty
     segment, and raises when a segment starts at the end of its input.
     """
-    cols = sparse_columns(op)
-    pad_row, pad_val = np.zeros(1, dtype=np.intp), np.zeros(1)
-    ptr = np.concatenate([[0], np.cumsum([r.size + 1 for r, _ in cols])])
-    rows = np.concatenate([x for r, _ in cols for x in (r, pad_row)])
-    vals = np.concatenate([x for _, v in cols for x in (v, pad_val)])
-    return ptr, rows, vals
+    csc = sparse_columns(op)
+    ends = csc.indptr[1:]
+    return (csc.indptr + np.arange(ends.size + 1),
+            np.insert(csc.indices.astype(np.intp), ends, 0),
+            np.insert(csc.data, ends, 0.0))
 
 
 @dataclass(frozen=True)
@@ -964,8 +969,11 @@ def load_chain(path) -> Chain:
                 key, _, val = line.partition("=")
                 meta[key.strip()] = val.strip()
     acc = meta.get("acceptance_rate", "")
-    return Chain(samples, seed=seed,
-                 burn_in=int(meta.get("burn_in", 0)),
-                 thinning=int(meta.get("thinning", 1)),
-                 method=meta.get("method", "unknown"),
-                 acceptance_rate=float(acc) if acc else None)
+    try:
+        return Chain(samples, seed=seed,
+                     burn_in=int(meta.get("burn_in", 0)),
+                     thinning=int(meta.get("thinning", 1)),
+                     method=meta.get("method", "unknown"),
+                     acceptance_rate=float(acc) if acc else None)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

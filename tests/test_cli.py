@@ -137,6 +137,52 @@ def test_config_prior_kind_must_name_the_scenario_prior(name, kind):
         experiments.ScenarioConfig(name=name, lam=1.0, prior_kind="gaussian")
 
 
+def test_config_shape_defaults_per_scenario():
+    for name, shape in (("deblur2d", (64, 64)), ("tv1d", (63,)),
+                        ("ct2d", (64, 64))):
+        cfg = parse_config_text(f"[scenario]\nname = {name}\n")
+        assert cfg.recon_shape == shape
+        assert experiments.ScenarioConfig(name=name, lam=1.0).recon_shape \
+            == shape
+
+
+@pytest.mark.parametrize("old, new, match", [
+    ("shape = 16 16", "shape = 16", r"\[grid\] shape"),
+    ("shape = 16 16", "shape =", r"\[grid\] shape"),
+    ("shape = 16 16", "shape = 16 8", r"\[grid\] shape"),
+    ("chains = 2", "chains = 0", r"\[sampler\]"),
+    ("chains = 2", "chains = 1", r"\[sampler\]"),
+    ("samples = 40", "samples = 0", r"\[sampler\]"),
+    ("samples = 40", "samples = 40\nthinning = 0", r"\[sampler\]"),
+    ("samples = 40", "samples = 40\nburn_in = -1", r"\[sampler\]"),
+    ("samples = 40", "samples = 40\nstep = 2.4", r"\[sampler\] step"),
+    ("[deblur2d]", "[ct2d]\nangles = 7\n[deblur2d]", r"section \[ct2d\]"),
+], ids=["shape-length", "shape-empty", "shape-unequal-sides", "chains-0", "chains-1",
+        "samples-0", "thinning-0", "burn-in-negative", "step-for-gibbs",
+        "foreign-section"])
+def test_config_rejects_knobs_no_run_honours(old, new, match):
+    assert old in TINY_DEBLUR
+    with pytest.raises(ValueError, match=match):
+        parse_config_text(TINY_DEBLUR.replace(old, new))
+
+
+def test_config_rejects_a_tv1d_shape_of_two_sides_and_a_gibbs_step():
+    with pytest.raises(ValueError, match=r"\[grid\] shape"):
+        parse_config_text(TINY_TV.replace("shape = 15", "shape = 15 15"))
+    with pytest.raises(ValueError, match=r"\[sampler\] step"):
+        parse_config_text(TINY_TV.replace("[sampler]", "[sampler]\nstep = 1"))
+    with pytest.raises(ValueError, match=r"section \[deblur2d\]"):
+        parse_config_text(TINY_TV + "\n[deblur2d]\nspots = 3\n")
+
+
+def test_config_step_is_an_rwm_knob():
+    head = "[scenario]\nname = ct2d\n"
+    assert parse_config_text(head).rwm_step == 2.4
+    assert parse_config_text(head + "[sampler]\nstep = 1.5\n").rwm_step == 1.5
+    with pytest.raises(ValueError, match=r"\[sampler\]"):
+        parse_config_text(head + "[sampler]\nstep = 0\n")
+
+
 def test_config_rejects_prior_beta():
     # no scenario has a Gaussian prior, so its weight is not a config key
     with pytest.raises(ValueError, match="beta"):

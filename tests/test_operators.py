@@ -1,8 +1,8 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bregbayes.grids import grid1d, grid2d
 from bregbayes.operators import (adjoint_probe_error, cell_average_restriction,
@@ -167,32 +167,36 @@ def test_radon_matches_pixel_loop_reference(bins):
         assert np.all(sino <= mass * (1 + 1e-14)) and sino.min() < mass
 
 
-def test_radon_sparse_columns_match_probed_columns():
-    op = radon(grid2d(8, 8), 5, 13)
-    read = sparse_columns(op)
-    probed = sparse_columns(dataclasses.replace(op, matrix=None))
-    assert len(read) == len(probed) == op.in_dim
-    for (idx_r, vals_r), (idx_p, vals_p) in zip(read, probed):
-        np.testing.assert_array_equal(idx_r, idx_p)
-        np.testing.assert_array_equal(vals_r, vals_p)
-
-
 @pytest.mark.parametrize("op", [
+    radon(grid2d(8, 8), 5, 13),
     gaussian_blur(grid2d(12, 12), 0.04),
     gaussian_blur(grid2d(10, 6), 0.06),
     gaussian_blur(grid1d(8), 0.3),  # kernel radius 10 > side: folds twice
     interval_average_1d(grid1d(13), 5),
     interval_average_1d(grid1d(255), 30),
     haar_transform(grid2d(16, 8), levels=2),
-], ids=["blur12x12", "blur10x6", "blur1d-long-kernel", "avg13", "avg255",
-        "haar16x8"])
-def test_assembled_sparse_columns_match_probed_columns(op):
-    read = sparse_columns(op)
-    probed = sparse_columns(dataclasses.replace(op, matrix=None, columns=None))
-    assert len(read) == len(probed) == op.in_dim
-    for (idx_r, vals_r), (idx_p, vals_p) in zip(read, probed):
-        np.testing.assert_array_equal(idx_r, idx_p)
-        np.testing.assert_allclose(vals_r, vals_p, rtol=0, atol=1e-15)
+    from_matrix(np.random.default_rng(5).standard_normal((3, 5))),
+], ids=["radon8x8", "blur12x12", "blur10x6", "blur1d-long-kernel", "avg13",
+        "avg255", "haar16x8", "matrix3x5"])
+def test_sparse_columns_match_the_dense_operator(op):
+    csc = sparse_columns(op)
+    dense = _dense(op)
+    assert isinstance(csc, sp.csc_array) and csc.shape == dense.shape
+    # rows sorted within each column and no stored zeros: the support is
+    # the dense operator's nonzeros in column-major order
+    col, row = np.nonzero(dense.T)
+    np.testing.assert_array_equal(csc.indptr,
+                                  np.searchsorted(col, np.arange(op.in_dim + 1)))
+    np.testing.assert_array_equal(csc.indices, row)
+    # an assembled matrix is what apply multiplies; the blur convolves,
+    # which sums in another order
+    atol = 1e-15 if op.columns is not None else 0.0
+    np.testing.assert_allclose(csc.data, dense.T[col, row], rtol=0, atol=atol)
+
+
+def test_sparse_columns_refuses_an_operator_without_structure():
+    with pytest.raises(ValueError, match="no column structure"):
+        sparse_columns(cell_average_restriction(grid1d(12), grid1d(4)))
 
 
 @pytest.mark.parametrize("grid", [grid2d(32, 32), grid2d(64, 48), grid1d(100)],
@@ -343,14 +347,3 @@ def test_interval_average_divisible_matches_block_mean():
     u = RNG.standard_normal(12)
     np.testing.assert_allclose(a.apply(u), b.apply(u), atol=1e-13)
 
-
-# -- plumbing ----------------------------------------------------------------
-
-def test_sparse_columns():
-    a = from_matrix(RNG.standard_normal((3, 5)))
-    cols = sparse_columns(a)
-    dense = _dense(a)
-    for i, (idx, vals) in enumerate(cols):
-        col = np.zeros(3)
-        col[idx] = vals
-        np.testing.assert_array_equal(col, dense[:, i])

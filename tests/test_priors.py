@@ -200,6 +200,15 @@ def test_besov_weights_from_csv(tmp_path):
     assert prior.energy(u) > 0
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_besov_rejects_weights_that_are_not_positive_and_finite(bad):
+    weights = np.ones(8)
+    weights[3] = bad
+    with pytest.raises(ValueError, match="positive and finite"):
+        make_besov_prior(1.0, weights, haar_transform(grid1d(8)))
+
+
 def test_besov_prox_matches_oracle():
     # soft-thresholding in the Haar domain with per-coefficient thresholds;
     # its own generator leaves the module stream alone

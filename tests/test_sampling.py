@@ -378,9 +378,9 @@ def _assert_independent_classes(post, coupled=None):
     classes = _classes(post)
     np.testing.assert_array_equal(np.sort(np.concatenate(classes)),
                                   np.arange(post.dim))
-    cols = sparse_columns(post.operator)
+    csc = sparse_columns(post.operator)
     for members in classes:
-        rows = np.concatenate([cols[i][0] for i in members])
+        rows = csc[:, members].indices
         assert np.unique(rows).size == rows.size
         if coupled is not None:
             block = coupled[np.ix_(members, members)]
@@ -640,14 +640,21 @@ def test_rwm_layout_reads_the_haar_matrix_without_applying_it():
     np.testing.assert_array_equal(layout.w_weights, weights[layout.w_rows])
 
 
+def _column_slices(op):
+    """(rows, values) of each column of the operator's CSC matrix."""
+    csc = sparse_columns(op)
+    return [(csc.indices[p0:p1], csc.data[p0:p1])
+            for p0, p1 in zip(csc.indptr[:-1], csc.indptr[1:])]
+
+
 def _reference_rwm_chain(post, n_samples, burn_in, thinning, step, seed):
     """sample_rwm written as a plain scan, one coordinate at a time."""
     prior, lam, n = post.prior, post.prior.lam, post.dim
     prec = post.noise.precision_diag
-    cols = [(r, v, v * prec[r]) for r, v in sparse_columns(post.operator)]
+    cols = [(r, v, v * prec[r]) for r, v in _column_slices(post.operator)]
     colnorm = np.array([float(v @ pv) for _, v, pv in cols])
     besov = prior.kind == "besov"
-    w_cols = sparse_columns(prior.transform) if besov else None
+    w_cols = _column_slices(prior.transform) if besov else None
     scale = np.where(colnorm > 0,
                      step / np.sqrt(np.maximum(colnorm, 1e-300)), step)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
@@ -875,3 +882,40 @@ def test_chain_validation():
     with pytest.raises(ValueError):
         Chain(np.full((2, 2), np.nan), seed=0, burn_in=0, thinning=1,
               method="gibbs")
+    with pytest.raises(ValueError, match="got -5, 1, None"):
+        Chain(np.zeros((2, 2)), seed=0, burn_in=-5, thinning=1, method="gibbs")
+    with pytest.raises(ValueError, match="got 0, 0, None"):
+        Chain(np.zeros((2, 2)), seed=0, burn_in=0, thinning=0, method="gibbs")
+    for rate in (-0.1, 7.5, np.nan):
+        with pytest.raises(ValueError, match=f"got 0, 1, {rate}"):
+            Chain(np.zeros((2, 2)), seed=0, burn_in=0, thinning=1,
+                  method="rwm", acceptance_rate=rate)
+
+
+@pytest.mark.parametrize("meta, match", [
+    ("burn_in = -5", "got -5, 1, None"),
+    ("thinning = 0", "got 0, 0, None"),
+    ("acceptance_rate = 7.5", "got 0, 1, 7.5"),
+    ("burn_in = many", "'many'"),
+], ids=["negative-burn-in", "zero-thinning", "rate-above-1", "non-numeric"])
+def test_load_chain_rejects_bad_meta_naming_the_file(tmp_path, meta, match):
+    path = tmp_path / "chain.bbchain"
+    save_chain(Chain(np.ones((4, 3)), seed=1, burn_in=0, thinning=1,
+                     method="gibbs"), path)
+    meta_path = tmp_path / "chain.bbchain.meta"
+    key = meta.split(" = ")[0]
+    lines = [line for line in meta_path.read_text().splitlines()
+             if not line.startswith(key)]
+    meta_path.write_text("\n".join(lines + [meta]) + "\n")
+    with pytest.raises(ValueError, match=f"chain.bbchain: .*{match}"):
+        load_chain(path)
+
+
+def test_load_chain_defaults_a_missing_meta(tmp_path):
+    path = tmp_path / "chain.bbchain"
+    save_chain(Chain(np.ones((4, 3)), seed=1, burn_in=2, thinning=3,
+                     method="gibbs"), path)
+    (tmp_path / "chain.bbchain.meta").unlink()
+    back = load_chain(path)
+    assert (back.burn_in, back.thinning, back.method,
+            back.acceptance_rate) == (0, 1, "unknown", None)
