@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import model as _model
-from .grids import as_vector
+from .grids import as_vector, row_dot
 from .model import GaussianNoiseModel, Posterior, weighted_sq_norm
 from .map_solver import MapResult
 from .operators import LinearOperator
@@ -190,18 +190,15 @@ class _CachedCost:
     def __init__(self, chain: Chain, spec: CostSpec):
         self.spec = spec
         self.samples = chain.samples
-        k = spec.operator
-        self.k_samples = (np.vstack([k.apply(u) for u in self.samples])
-                          if k is not None else None)
+        self.k_samples = (None if spec.operator is None
+                          else spec.operator.apply(self.samples))
         if spec.kind in ("ls", "mse"):
             l_mat = spec.l_matrix
             self.l_samples = (self.samples if l_mat is None
                               else self.samples @ l_mat.T)
         elif spec.kind == "bregman":
-            prior = spec.prior
-            self.j_samples = np.array([prior.energy(u) for u in self.samples])
-            self.q_samples = np.vstack([prior.subgradient(u)
-                                        for u in self.samples])
+            self.j_samples = spec.prior.energy(self.samples)
+            self.q_samples = spec.prior.subgradient(self.samples)
             self.qu_samples = np.einsum("ij,ij->i", self.q_samples,
                                         self.samples)
 
@@ -239,15 +236,15 @@ def verify_bayes_optimality(chain: Chain, candidate, spec: CostSpec,
     Perturbations are random directions at scales {0.1, 0.5, 1.0} times
     ``probe_scale`` (cycled). Costs are paired over the same chain, so a
     probe flags the candidate only when the cost drop clears 3 stderr of
-    the paired difference. Deterministic per-probe seeds.
+    the paired difference. Deterministic per-probe seeds. A chain shorter
+    than ``n_batches`` has no stderr, so it is refused.
     """
-    if len(chain) < 1:
-        raise ValueError("empty chain")
+    if len(chain) < n_batches:
+        raise ValueError("chain too short for batch means")
     candidate = as_vector(candidate)
     cache = _CachedCost(chain, spec)
     base = cache.costs_at(candidate)
-    base_stderr = (float(batch_means_stderr(base[:, None], n_batches)[0])
-                   if len(chain) >= n_batches else float("nan"))
+    base_stderr = float(batch_means_stderr(base[:, None], n_batches)[0])
     probes = []
     n_beaten = 0
     for j in range(n_probes):
@@ -257,8 +254,7 @@ def verify_bayes_optimality(chain: Chain, candidate, spec: CostSpec,
         direction /= max(np.linalg.norm(direction), 1e-300)
         diffs = cache.costs_at(candidate + scale * direction) - base
         margin = float(diffs.mean())
-        stderr = (float(batch_means_stderr(diffs[:, None], n_batches)[0])
-                  if len(chain) >= n_batches else float("nan"))
+        stderr = float(batch_means_stderr(diffs[:, None], n_batches)[0])
         beaten = margin < -3.0 * stderr
         n_beaten += int(beaten)
         probes.append(ProbeResult(scale, margin, stderr, beaten))
@@ -313,7 +309,7 @@ def theorem_ineq_check(chain: Chain, map_est, cm_est,
     # D(cm, u_k) - D(map, u_k): the J(u_k) terms cancel
     j_gap = prior.energy(cm_est) - prior.energy(map_est)
     step = cm_est - map_est
-    h = np.array([j_gap - float(prior.subgradient(u) @ step) for u in samples])
+    h = j_gap - row_dot(prior.subgradient(samples), step)
     g_margin = float(g.mean())
     h_margin = float(h.mean())
     g_stderr = float(batch_means_stderr(g[:, None], n_batches)[0])
@@ -401,14 +397,15 @@ def cm_optimality_check(post: Posterior, chain: Chain,
     """
     if len(chain) < n_batches:
         raise ValueError("chain too short for batch means")
-    grads = np.vstack([_model.neg_log_posterior_gradient(post, u)
-                       for u in chain.samples])
+    grads = _model.neg_log_posterior_gradient(post, chain.samples)
     residual = grads.mean(axis=0)
     stderr = batch_means_stderr(grads, n_batches)
     sup = float(np.abs(residual).max())
     rng = np.random.default_rng(20240817)
-    null_max = np.abs(rng.standard_normal((400, stderr.size))
-                      * stderr[None, :]).max(axis=1)
+    # in place: one (400, n) array, 13 MB at 64 x 64
+    null = rng.standard_normal((400, stderr.size))
+    null *= stderr
+    null_max = np.abs(null, out=null).max(axis=1)
     threshold = max(3.0 * float(stderr.max()),
                     float(null_max.mean() + 3.0 * null_max.std(ddof=1)))
     return CmOptimalityReport(sup, threshold, float(stderr.max()),
@@ -434,30 +431,26 @@ def uniform_cost_map_limit(post: Posterior, center, half_width: float = 2.0,
     center = as_vector(center)
     xs = np.linspace(center[0] - half_width, center[0] + half_width, lattice)
     ys = np.linspace(center[1] - half_width, center[1] + half_width, lattice)
-    energy = np.empty((lattice, lattice))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            energy[i, j] = _model.neg_log_posterior(post, np.array([x, y]))
+    points = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
+    energy = _model.neg_log_posterior(post, points.reshape(-1, 2))
     w = np.exp(-(energy - energy.min()))
-    w /= w.sum()
+    w = w.reshape(lattice, lattice) / w.sum()
     imax, jmax = np.unravel_index(np.argmax(w), w.shape)
     density_max = np.array([xs[imax], ys[jmax]])
     step = xs[1] - xs[0]
     out = {"density_maximizer": density_max.tolist(), "deltas": []}
+    cum = np.zeros((lattice + 1, lattice + 1))
+    cum[1:, 1:] = w.cumsum(axis=0).cumsum(axis=1)
+    index = np.arange(lattice)
     for delta in deltas:
         r = int(np.floor(delta / step + 1e-12))
-        # expected uniform cost at lattice point = 1 - windowed mass
-        cum = np.zeros((lattice + 1, lattice + 1))
-        cum[1:, 1:] = w.cumsum(axis=0).cumsum(axis=1)
-        best, best_cost = None, np.inf
-        for i in range(lattice):
-            for j in range(lattice):
-                i0, i1 = max(i - r, 0), min(i + r + 1, lattice)
-                j0, j1 = max(j - r, 0), min(j + r + 1, lattice)
-                mass = (cum[i1, j1] - cum[i0, j1] - cum[i1, j0] + cum[i0, j0])
-                cost = 1.0 - mass
-                if cost < best_cost:
-                    best, best_cost = (i, j), cost
+        # expected uniform cost at lattice point = 1 - windowed mass; the
+        # first minimizer in row-major order
+        lo = np.maximum(index - r, 0)
+        hi = np.minimum(index + r + 1, lattice)
+        mass = (cum[hi[:, None], hi] - cum[lo[:, None], hi]
+                - cum[hi[:, None], lo] + cum[lo[:, None], lo])
+        best = np.unravel_index(np.argmin(1.0 - mass), mass.shape)
         minimizer = np.array([xs[best[0]], ys[best[1]]])
         out["deltas"].append({
             "delta": delta,

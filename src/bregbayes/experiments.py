@@ -28,7 +28,7 @@ from .bayescost import (CostSpec, centered_energy_check, cm_optimality_check,
                         theorem_ineq_check, verify_bayes_optimality)
 from .grids import Grid, Signal, grid1d, grid2d
 from .map_solver import MapResult, SolverOptions, solve_map
-from .model import GaussianNoiseModel, Posterior
+from .model import GaussianNoiseModel, Posterior, weighted_sq_norm
 from .operators import (LinearOperator, adjoint_probe_error,
                         cell_average_restriction, gaussian_blur, haar_transform,
                         identity, interval_average_1d, radon)
@@ -498,13 +498,9 @@ def assemble_posterior(parts: ScenarioParts, data: GeneratedData,
 def normal_matrix_diag_mean(post: Posterior, n_probes: int = 3) -> float:
     """Hutchinson estimate of trace(K^T P K)/n, the data curvature scale."""
     rng = np.random.default_rng(131)
-    op, prec = post.operator, post.noise.apply_precision
-    total = 0.0
-    for _ in range(n_probes):
-        r = rng.choice([-1.0, 1.0], size=op.in_dim)
-        ku = op.apply(r)
-        total += float(ku @ prec(ku)) / op.in_dim
-    return total / n_probes
+    op = post.operator
+    ku = op.apply(rng.choice([-1.0, 1.0], size=(n_probes, op.in_dim)))
+    return float(np.mean(weighted_sq_norm(ku, post.noise) / op.in_dim))
 
 
 def scenario_solver_options(cfg: ScenarioConfig, lam: float,
@@ -563,6 +559,10 @@ def run_experiment(cfg: ScenarioConfig, verify: bool = False,
     """
     if verify and not with_cm:
         raise ValueError("verification needs the CM chains")
+    if with_cm and cfg.n_samples * cfg.n_chains < 20:  # summarize's batches
+        raise ValueError(f"the CM estimate needs at least 20 draws: [sampler] "
+                         f"samples = {cfg.n_samples} times chains = "
+                         f"{cfg.n_chains} gives {cfg.n_samples * cfg.n_chains}")
     parts = build_scenario(cfg)
     if cfg.truth_factor > 1:
         # inverse-crime guard

@@ -88,10 +88,18 @@ class Signal:
 
 
 def as_vector(u) -> np.ndarray:
-    """Accept a Signal or array-like, return a flat float64 vector."""
+    """A Signal's values, or an array-like as float64 whose trailing axis is
+    the vector: 1-D is one vector, 2-D a block of vectors, one per row."""
     if isinstance(u, Signal):
         return u.values
-    return np.asarray(u, dtype=np.float64).reshape(-1)
+    return np.atleast_1d(np.asarray(u, dtype=np.float64))
+
+
+def row_dot(a: np.ndarray, b: np.ndarray):
+    """Dot products over the trailing axis, row by row; for two vectors a
+    float, bit for bit ``a @ b`` (each row takes the same vector dot)."""
+    d = (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    return float(d) if d.ndim == 0 else d
 
 
 # ---------------------------------------------------------------------------

@@ -290,10 +290,9 @@ def _split_bregman(post: Posterior, opts: SolverOptions,
     # the prior term of the energy from pu = Phi u, which the shrink step
     # needs anyway; the same arithmetic as prior.energy(u)
     if prior.weights is not None:
-        prior_energy = lambda pu: float(prior.weights @ np.abs(pu))
+        prior_energy = lambda pu: float(np.abs(pu) @ prior.weights)
     else:
         prior_energy = lambda pu: float(np.abs(pu).sum())
-    p_diag = post.noise.precision_diag
 
     exact = _exact_u_step(post, mu)
     cg_iterations = 0
@@ -320,8 +319,8 @@ def _split_bregman(post: Posterior, opts: SolverOptions,
         d = np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
         b = b + relaxed - d
         # neg_log_posterior(post, u), term for term
-        r = f - k.apply(u)
-        energy = 0.5 * float(r @ (p_diag * r)) + lam * prior_energy(pu)
+        energy = (0.5 * _model.weighted_sq_norm(f - k.apply(u), post.noise)
+                  + lam * prior_energy(pu))
         if not np.isfinite(energy):
             _log.warning("solve_map: non-finite iterate at iteration %d", it)
             break

@@ -5,7 +5,8 @@ The negative log posterior used everywhere is
     E(u) = 1/2 ||f - K u||^2_P + lam * J(u),      P = noise precision,
 
 with no normalizing constant; identities involving E are checked as
-energy differences.
+energy differences. The functions below take one vector or a block of
+vectors, one per row; row i of a block's result is the result for row i.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import Grid, Signal, as_vector
+from .grids import Grid, Signal, as_vector, row_dot
 from .operators import LinearOperator
 from .priors import Prior
 
@@ -57,12 +58,12 @@ class GaussianNoiseModel:
         return self.precision_diag * y
 
 
-def weighted_sq_norm(y, noise: GaussianNoiseModel) -> float:
-    """Quadratic form y^T P y for the noise precision P; >= 0, 0 iff y = 0."""
+def weighted_sq_norm(y, noise: GaussianNoiseModel):
+    """y^T P y for the noise precision P (>= 0, 0 iff y = 0); per row."""
     y = as_vector(y)
-    if y.size != noise.dim:
-        raise ValueError(f"vector length {y.size} != noise dimension {noise.dim}")
-    return float(y @ noise.apply_precision(y))
+    if y.shape[-1] != noise.dim:
+        raise ValueError(f"vector length {y.shape[-1]} != noise dimension {noise.dim}")
+    return row_dot(y, noise.apply_precision(y))
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,9 @@ class Posterior:
         return self.operator.in_dim
 
 
-def neg_log_posterior(post: Posterior, u) -> float:
-    """1/2 ||f - K u||^2_P + lam J(u), exactly; no normalizing constant."""
+def neg_log_posterior(post: Posterior, u):
+    """1/2 ||f - K u||^2_P + lam J(u), exactly, per row; no normalizing
+    constant."""
     u = as_vector(u)
     if not np.all(np.isfinite(u)):
         raise ValueError("non-finite input values")
@@ -105,10 +107,8 @@ def neg_log_posterior_gradient(post: Posterior, u) -> np.ndarray:
 
     Equal to the true gradient wherever the prior energy is differentiable.
     """
-    u = as_vector(u)
-    r = post.operator.apply(u) - post.data.values
-    grad = post.operator.adjoint_apply(post.noise.apply_precision(r))
-    return grad + post.prior.lam * post.prior.subgradient(u)
+    return (data_misfit_gradient(post, u)
+            + post.prior.lam * post.prior.subgradient(u))
 
 
 def data_misfit_gradient(post: Posterior, u) -> np.ndarray:

@@ -3,9 +3,9 @@
 Every operator carries an explicit adjoint. Adjoints are exact transposes
 of the assembled action, so randomized probe tests hold at tight
 tolerances rather than only asymptotically. Radon, Haar and the
-interval average are assembled sparse matrices, applied as ``matrix @ u``
-and ``matrix.T @ v``; the blur applies as a separable convolution and
-builds its columns only on demand.
+interval average are assembled sparse matrices, applied as
+``(matrix @ u.T).T`` and ``(matrix.T @ v.T).T``; the blur applies as a
+separable convolution and builds its columns only on demand.
 """
 
 from __future__ import annotations
@@ -17,13 +17,16 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .grids import Grid
+from .grids import Grid, row_dot
 
 
 @dataclass(frozen=True)
 class LinearOperator:
     """Linear map with an explicit adjoint.
 
+    ``apply`` and ``adjoint_apply`` take one vector or a block of vectors,
+    one per row: row i of a block's result is the map applied to row i,
+    and a single vector's result is the same as without blocks.
     ``matrix`` is the assembled CSC matrix behind ``apply`` and
     ``adjoint_apply`` when there is one (no explicit zeros); callers still
     go through ``apply``, and :func:`sparse_columns` returns it.
@@ -51,28 +54,33 @@ class LinearOperator:
 
 
 def adjoint_probe_error(op: LinearOperator, rng=None, n_probes: int = 20) -> float:
-    """Max relative defect of <Ku, v> = <u, K^T v> over random probes."""
+    """Max relative defect of <Ku, v> = <u, K^T v> over random probes,
+    which go through the operator as one block."""
     rng = np.random.default_rng(rng)
-    worst = 0.0
-    for _ in range(n_probes):
-        u = rng.standard_normal(op.in_dim)
-        v = rng.standard_normal(op.out_dim)
-        lhs = float(op.apply(u) @ v)
-        rhs = float(u @ op.adjoint_apply(v))
-        scale = max(abs(lhs), abs(rhs), 1e-30)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
+    uv = rng.standard_normal((n_probes, op.in_dim + op.out_dim))
+    u, v = uv[:, :op.in_dim], uv[:, op.in_dim:]
+    lhs = row_dot(op.apply(u), v)
+    rhs = row_dot(u, op.adjoint_apply(v))
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
+    return float((np.abs(lhs - rhs) / scale).max(initial=0.0))
 
 
 def identity(n: int) -> LinearOperator:
     return LinearOperator(n, n, lambda u: u.copy(), lambda v: v.copy(), "identity")
 
 
+def _matrix_operator(a, name: str, matrix: sp.csc_array) -> LinearOperator:
+    """The product with dense or sparse ``a``. A block's result is made
+    row-major, so row-wise sums over it round as for one vector."""
+    at = a.T  # a view sharing the data, not a second copy
+    return LinearOperator(
+        a.shape[1], a.shape[0], lambda u: np.ascontiguousarray((a @ u.T).T),
+        lambda v: np.ascontiguousarray((at @ v.T).T), name, matrix)
+
+
 def from_matrix(a: np.ndarray, name: str = "matrix") -> LinearOperator:
     a = np.asarray(a, dtype=np.float64)
-    m, n = a.shape
-    return LinearOperator(n, m, lambda u: a @ u, lambda v: a.T @ v, name,
-                          sp.csc_array(a))
+    return _matrix_operator(a, name, sp.csc_array(a))
 
 
 def sparse_columns(op: LinearOperator) -> sp.csc_array:
@@ -169,19 +177,11 @@ def gaussian_blur(grid: Grid, kernel_sigma: float) -> LinearOperator:
         if grid.dim == 2:
             eig = np.multiply.outer(eig, _dct_eigenvalues(kernels[1], shape[1]))
 
-    if grid.dim == 1:
-        k0 = kernels[0]
-
-        def apply(u: np.ndarray) -> np.ndarray:
-            return convolve1d(u, k0, mode="reflect")
-    else:
-        k0, k1 = kernels
-
-        def apply(u: np.ndarray) -> np.ndarray:
-            img = u.reshape(shape)
-            img = convolve1d(img, k0, axis=0, mode="reflect")
-            img = convolve1d(img, k1, axis=1, mode="reflect")
-            return img.reshape(-1)
+    def apply(u: np.ndarray) -> np.ndarray:
+        img = u.reshape(u.shape[:-1] + shape)
+        for axis, k in enumerate(kernels, start=u.ndim - 1):
+            img = convolve1d(img, k, axis=axis, mode="reflect")
+        return img.reshape(u.shape)
 
     n = grid.size
     return LinearOperator(n, n, apply, apply, f"blur(sigma={kernel_sigma:g})",
@@ -241,10 +241,7 @@ def radon(grid: Grid, num_angles: int, num_bins: int) -> LinearOperator:
     matrix = sp.csc_array((vals.reshape(-1), rows_out.reshape(-1), indptr),
                           shape=(num_angles * num_bins, n))
     matrix.eliminate_zeros()
-    transpose = matrix.T  # a view sharing the data, not a second copy
-    return LinearOperator(n, num_angles * num_bins, lambda u: matrix @ u,
-                          lambda v: transpose @ v,
-                          f"radon({num_angles}x{num_bins})", matrix)
+    return _matrix_operator(matrix, f"radon({num_angles}x{num_bins})", matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +299,7 @@ def haar_transform(grid: Grid, levels: int | None = None) -> LinearOperator:
         matrix = (scale * step + keep) @ matrix
     matrix = sp.csc_array(matrix)
     matrix.eliminate_zeros()
-    transpose = matrix.T
-    return LinearOperator(n, n, lambda u: matrix @ u, lambda v: transpose @ v,
-                          f"haar(levels={levels})", matrix)
+    return _matrix_operator(matrix, f"haar(levels={levels})", matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -325,31 +320,21 @@ def cell_average_restriction(fine: Grid, coarse: Grid) -> LinearOperator:
         if nf % nc != 0:
             raise ValueError(f"fine side {nf} not divisible by coarse side {nc}")
         factors.append(nf // nc)
+    # each fine axis split into (coarse cell, offset in the cell)
+    split = tuple(x for pair in zip(coarse.shape, factors) for x in pair)
+    cells = tuple(x for c in coarse.shape for x in (c, 1))
+    offsets = tuple(range(1 - 2 * fine.dim, 0, 2))
+    cell_size = int(np.prod(factors))
 
-    if fine.dim == 1:
-        (q,) = factors
-        nc = coarse.shape[0]
+    def apply(u: np.ndarray) -> np.ndarray:
+        lead = u.shape[:-1]
+        return u.reshape(lead + split).mean(axis=offsets).reshape(lead + (-1,))
 
-        def apply(u: np.ndarray) -> np.ndarray:
-            return u.reshape(nc, q).mean(axis=1)
-
-        def adjoint_apply(v: np.ndarray) -> np.ndarray:
-            return np.repeat(v / q, q)
-
-    else:
-        qr, qc = factors
-        rc, cc = coarse.shape
-        rf, cf = fine.shape
-
-        def apply(u: np.ndarray) -> np.ndarray:
-            img = u.reshape(rc, qr, cc, qc)
-            return img.mean(axis=(1, 3)).reshape(-1)
-
-        def adjoint_apply(v: np.ndarray) -> np.ndarray:
-            img = v.reshape(rc, cc) / (qr * qc)
-            return np.broadcast_to(
-                img[:, None, :, None], (rc, qr, cc, qc)
-            ).reshape(rf * cf).copy()
+    def adjoint_apply(v: np.ndarray) -> np.ndarray:
+        lead = v.shape[:-1]
+        img = v.reshape(lead + cells) / cell_size
+        return np.broadcast_to(img, lead + split).copy().reshape(
+            lead + (fine.size,))
 
     return LinearOperator(fine.size, coarse.size, apply, adjoint_apply,
                           "cell_average")
@@ -383,7 +368,5 @@ def interval_average_1d(fine: Grid, num_intervals: int) -> LinearOperator:
     matrix = sp.csc_array((np.concatenate(vals),
                            (np.concatenate(rows), np.concatenate(cols))),
                           shape=(num_intervals, n))
-    transpose = matrix.T
-    return LinearOperator(n, num_intervals, lambda u: matrix @ u,
-                          lambda v: transpose @ v,
-                          f"interval_average({num_intervals})", matrix)
+    return _matrix_operator(matrix, f"interval_average({num_intervals})",
+                            matrix)

@@ -2,7 +2,8 @@
 
 Each prior bundles its energy J, a canonical subgradient selection
 (sign(0) := 0 throughout), a proximal map, and the induced Bregman
-distance D_J^q(u, v) = J(u) - J(v) - <q, u - v>.
+distance D_J^q(u, v) = J(u) - J(v) - <q, u - v>. Energy and subgradient
+take one vector or a block of vectors, one per row.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grids import as_vector
+from .grids import as_vector, row_dot
 from .operators import LinearOperator
 
 _log = logging.getLogger(__name__)
@@ -37,8 +38,10 @@ class Prior:
         if self.lam <= 0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
 
-    def energy(self, u) -> float:
-        return float(self.energy_fn(as_vector(u)))
+    def energy(self, u):
+        """J(u): a float for a vector, one value per row of a block."""
+        e = self.energy_fn(as_vector(u))
+        return float(e) if np.ndim(e) == 0 else e
 
     def subgradient(self, u) -> np.ndarray:
         return self.subgradient_fn(as_vector(u))
@@ -83,7 +86,7 @@ def make_gaussian_prior(lam: float, beta: float,
     c = beta / (2.0 * lam)
 
     if l_matrix is None:
-        energy = lambda u: c * float(u @ u)
+        energy = lambda u: c * row_dot(u, u)
         subgrad = lambda u: 2.0 * c * u
 
         def prox(v, t):
@@ -92,11 +95,11 @@ def make_gaussian_prior(lam: float, beta: float,
         lt_l = l_matrix.T @ l_matrix
 
         def energy(u):
-            lu = l_matrix @ u
-            return c * float(lu @ lu)
+            lu = (l_matrix @ u.T).T
+            return c * row_dot(lu, lu)
 
         def subgrad(u):
-            return 2.0 * c * (lt_l @ u)
+            return 2.0 * c * (lt_l @ u.T).T
 
         def prox(v, t):
             a = np.eye(v.size) + (2.0 * c * t) * lt_l
@@ -117,7 +120,7 @@ def make_l1_prior(lam: float) -> Prior:
     The prox is soft-thresholding. An l1 prior on orthonormal transform
     coefficients is the Besov prior with unit weights.
     """
-    energy = lambda u: float(np.abs(u).sum())
+    energy = lambda u: np.abs(u).sum(axis=-1)
     subgrad = lambda u: np.sign(u)
     prox = lambda v, t: _soft_threshold(v, t)
     return Prior("l1", lam, energy, subgrad, prox)
@@ -137,9 +140,9 @@ def forward_differences(n: int) -> LinearOperator:
         return np.diff(u)
 
     def adjoint_apply(z):
-        out = np.zeros(z.size + 1)
-        out[:-1] -= z
-        out[1:] += z
+        out = np.zeros(z.shape[:-1] + (n,))
+        out[..., :-1] -= z
+        out[..., 1:] += z
         return out
 
     return LinearOperator(n, n - 1, apply, adjoint_apply, "diff")
@@ -186,17 +189,17 @@ def make_tv1d_prior(lam: float) -> Prior:
     """Anisotropic 1D total variation J(u) = sum_i |u_{i+1} - u_i|."""
 
     def energy(u):
-        if u.size < 2:
+        if u.shape[-1] < 2:
             raise ValueError("TV prior needs at least 2 samples")
-        return float(np.abs(np.diff(u)).sum())
+        return np.abs(np.diff(u)).sum(axis=-1)
 
     def subgrad(u):
-        if u.size < 2:
+        if u.shape[-1] < 2:
             raise ValueError("TV prior needs at least 2 samples")
         z = np.sign(np.diff(u))
         out = np.zeros_like(u)
-        out[:-1] -= z
-        out[1:] += z
+        out[..., :-1] -= z
+        out[..., 1:] += z
         return out
 
     return Prior("tv1d", lam, energy, subgrad, _tv1d_prox)
@@ -215,12 +218,8 @@ def load_weights_csv(path) -> np.ndarray:
 
 
 def _probe_orthonormal(phi: LinearOperator, n_probes: int = 3) -> bool:
-    rng = np.random.default_rng(12345)
-    for _ in range(n_probes):
-        u = rng.standard_normal(phi.in_dim)
-        if not np.allclose(phi.adjoint_apply(phi.apply(u)), u, atol=1e-10):
-            return False
-    return True
+    u = np.random.default_rng(12345).standard_normal((n_probes, phi.in_dim))
+    return bool(np.allclose(phi.adjoint_apply(phi.apply(u)), u, atol=1e-10))
 
 
 def make_besov_prior(lam: float, weights, wavelet: LinearOperator) -> Prior:
@@ -234,7 +233,7 @@ def make_besov_prior(lam: float, weights, wavelet: LinearOperator) -> Prior:
     if not _probe_orthonormal(wavelet):
         raise ValueError("wavelet transform must be orthonormal")
 
-    energy = lambda u: float(w @ np.abs(wavelet.apply(u)))
+    energy = lambda u: np.abs(wavelet.apply(u)) @ w
     subgrad = lambda u: wavelet.adjoint_apply(w * np.sign(wavelet.apply(u)))
     prox = lambda v, t: wavelet.adjoint_apply(
         _soft_threshold(wavelet.apply(v), t * w))

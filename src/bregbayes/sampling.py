@@ -496,7 +496,7 @@ def summarize(chain: Chain, prior: Prior, n_batches: int = 20) -> ChainSummary:
     """CM estimate, its batch-means stderr, and the mean prior subgradient."""
     if len(chain) < n_batches:
         raise ValueError(f"need at least {n_batches} samples to summarize")
-    subgrads = np.vstack([prior.subgradient(s) for s in chain.samples])
+    subgrads = prior.subgradient(chain.samples)
     return ChainSummary(
         mean=chain.samples.mean(axis=0),
         stderr=batch_means_stderr(chain.samples, n_batches),

@@ -10,7 +10,7 @@ from bregbayes.bayescost import (CostSpec, centered_energy_check,
                                  verify_bayes_optimality, _CachedCost)
 from bregbayes.grids import Signal, grid1d
 from bregbayes.map_solver import solve_map
-from bregbayes.model import GaussianNoiseModel, Posterior
+from bregbayes.model import GaussianNoiseModel, Posterior, neg_log_posterior
 from bregbayes.operators import from_matrix
 from bregbayes.priors import make_gaussian_prior, make_l1_prior
 from bregbayes.sampling import Chain, sample_gibbs, summarize
@@ -235,6 +235,16 @@ def test_optimality_scalar_l1_map_and_displaced():
     assert bad.n_beaten >= 1
 
 
+def test_optimality_refuses_a_chain_shorter_than_the_batch_count():
+    # with fewer draws than batches no probe has a stderr, so none could
+    # ever count as beaten, however much cheaper it is
+    chain = Chain(RNG.standard_normal((10, 3)), seed=0, burn_in=0, thinning=1,
+                  method="gibbs")
+    with pytest.raises(ValueError, match="chain too short"):
+        verify_bayes_optimality(chain, np.full(3, 50.0), CostSpec.mse(),
+                                n_probes=6)
+
+
 def test_optimality_cm_under_ls():
     post = _scalar_l1_posterior()
     chain = sample_gibbs(post, 60000, burn_in=600, seed=31)
@@ -348,15 +358,47 @@ def test_cm_optimality_scalar_and_multidim():
 # -- uniform-cost diagnostic -------------------------------------------------------
 
 
+def _uniform_cost_minimizers_by_loops(post, center, half_width, lattice,
+                                      deltas):
+    """The diagnostic's lattice search, one lattice point at a time."""
+    xs = np.linspace(center[0] - half_width, center[0] + half_width, lattice)
+    ys = np.linspace(center[1] - half_width, center[1] + half_width, lattice)
+    energy = np.empty((lattice, lattice))
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            energy[i, j] = neg_log_posterior(post, np.array([x, y]))
+    w = np.exp(-(energy - energy.min()))
+    w /= w.sum()
+    cum = np.zeros((lattice + 1, lattice + 1))
+    cum[1:, 1:] = w.cumsum(axis=0).cumsum(axis=1)
+    minimizers = []
+    for delta in deltas:
+        r = int(np.floor(delta / (xs[1] - xs[0]) + 1e-12))
+        best, best_cost = None, np.inf
+        for i in range(lattice):
+            for j in range(lattice):
+                i0, i1 = max(i - r, 0), min(i + r + 1, lattice)
+                j0, j1 = max(j - r, 0), min(j + r + 1, lattice)
+                cost = 1.0 - (cum[i1, j1] - cum[i0, j1] - cum[i1, j0]
+                              + cum[i0, j0])
+                if cost < best_cost:
+                    best, best_cost = (i, j), cost
+        minimizers.append([xs[best[0]], ys[best[1]]])
+    return minimizers
+
+
 def test_uniform_cost_limit_diagnostic():
     post = _post(np.eye(2), [1.0, -0.5], 1.0, make_l1_prior(0.7))
+    deltas = (0.5, 0.2, 0.1)
     out = uniform_cost_map_limit(post, center=[0.5, -0.2], half_width=2.0,
-                                 lattice=41, deltas=(0.5, 0.2, 0.1))
+                                 lattice=41, deltas=deltas)
     assert len(out["deltas"]) == 3
     # the smallest delta's minimizer sits at the density maximizer
     assert out["deltas"][-1]["sup_distance_to_max"] <= 0.5
     for entry in out["deltas"]:
         assert 0.0 <= entry["sup_distance_to_max"]
+    ref = _uniform_cost_minimizers_by_loops(post, [0.5, -0.2], 2.0, 41, deltas)
+    assert [e["minimizer"] for e in out["deltas"]] == ref
 
 
 # -- report plumbing ---------------------------------------------------------------

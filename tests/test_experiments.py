@@ -311,6 +311,20 @@ def test_run_experiment_verify_refuses_unconverged_map(monkeypatch):
         run_experiment(cfg, verify=True, n_probes=6)
 
 
+def test_run_experiment_refuses_too_few_draws_before_any_work(monkeypatch):
+    def no_scenario(*args, **kwargs):
+        raise AssertionError("too few draws must stop before the scenario")
+
+    monkeypatch.setattr(experiments, "build_scenario", no_scenario)
+    cfg = dataclasses.replace(_small_deblur_config(max_iters=4000),
+                              n_samples=5)
+    with pytest.raises(ValueError, match=r"\[sampler\] samples = 5 times "
+                                         r"chains = 2 gives 10"):
+        run_experiment(cfg)
+    with pytest.raises(AssertionError, match="before the scenario"):
+        run_experiment(cfg, with_cm=False)
+
+
 def test_run_experiment_small_ct_rwm():
     cfg = ScenarioConfig(name="ct2d", recon_shape=(16, 16), truth_factor=2,
                          noise_fraction=0.02, lam=0.5, lambda_rule="fixed",

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from bregbayes.grids import Signal, grid1d
+from bregbayes.grids import Signal, grid1d, grid2d
 from bregbayes.model import (GaussianNoiseModel, Posterior, neg_log_posterior,
                              neg_log_posterior_gradient, weighted_sq_norm)
-from bregbayes.operators import from_matrix, identity
-from bregbayes.priors import make_gaussian_prior, make_l1_prior
+from bregbayes.operators import (from_matrix, gaussian_blur, identity,
+                                 interval_average_1d)
+from bregbayes.priors import make_gaussian_prior, make_l1_prior, make_tv1d_prior
 
 RNG = np.random.default_rng(99)
 
@@ -164,3 +165,28 @@ def test_posterior_validation():
     with pytest.raises(ValueError):
         Posterior(identity(2), Signal(grid1d(3), [1.0, 2.0, 3.0]),
                   GaussianNoiseModel.from_sigma(1.0, 3), make_l1_prior(1.0))
+
+
+# -- blocks of vectors -------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", ["blur_l1", "interval_tv"])
+def test_block_energy_and_gradient_are_the_stacked_vector_ones(case):
+    if case == "blur_l1":
+        op, prior = gaussian_blur(grid2d(6, 6), 0.1), make_l1_prior(0.7)
+    else:
+        op, prior = interval_average_1d(grid1d(12), 5), make_tv1d_prior(1.3)
+    m = op.out_dim
+    post = Posterior(op, Signal(grid1d(m), RNG.standard_normal(m)),
+                     GaussianNoiseModel.from_precision_diag(
+                         RNG.uniform(0.5, 3.0, m)), prior)
+    u = RNG.standard_normal((4, op.in_dim))
+    u[2, :3] = 0.0
+    y = RNG.standard_normal((4, m))
+    for fn, block in (
+            (lambda v: weighted_sq_norm(v, post.noise), y),
+            (lambda v: neg_log_posterior(post, v), u),
+            (lambda v: neg_log_posterior_gradient(post, v), u)):
+        out = np.ascontiguousarray(fn(block))
+        ref = np.array([fn(row) for row in block])
+        np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))

@@ -9,6 +9,7 @@ from bregbayes.operators import (adjoint_probe_error, cell_average_restriction,
                                  from_matrix, gaussian_blur, haar_transform,
                                  identity, interval_average_1d, radon,
                                  sparse_columns)
+from bregbayes.priors import forward_differences
 
 RNG = np.random.default_rng(20240811)
 
@@ -41,6 +42,32 @@ def _all_test_operators():
 @pytest.mark.parametrize("op", _all_test_operators(), ids=lambda o: o.name)
 def test_adjoint_probes(op):
     assert adjoint_probe_error(op, RNG, n_probes=20) < 1e-10
+
+
+# -- blocks of vectors -------------------------------------------------------
+
+
+def _stacked(fn, block):
+    return np.array([fn(row) for row in block])
+
+
+@pytest.mark.parametrize("op", _all_test_operators() + [forward_differences(9)],
+                         ids=lambda o: o.name)
+def test_block_apply_is_the_stacked_vector_apply_bitwise(op):
+    for fn, dim in ((op.apply, op.in_dim), (op.adjoint_apply, op.out_dim)):
+        block = RNG.standard_normal((5, dim))
+        out = np.ascontiguousarray(fn(block))
+        np.testing.assert_array_equal(out.view(np.uint64),
+                                      _stacked(fn, block).view(np.uint64))
+
+
+def test_dense_matrix_block_apply_matches_the_stacked_vector_apply():
+    # a block is one matrix-matrix product, which may round differently
+    op = from_matrix(RNG.standard_normal((7, 11)))
+    for fn, dim in ((op.apply, 11), (op.adjoint_apply, 7)):
+        block = RNG.standard_normal((5, dim))
+        ref = _stacked(fn, block)
+        assert np.abs(fn(block) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 # -- gaussian blur -----------------------------------------------------------

@@ -298,3 +298,30 @@ def test_l1_three_point_identity():
         rhs = (p.bregman(uhat, m, q=q_m) + p.bregman(m, u)
                + (q_m - p.subgradient(u)) @ (uhat - m))
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+# -- blocks of vectors -------------------------------------------------------
+
+
+def _block_priors():
+    besov = make_besov_prior(0.8, RNG.uniform(0.5, 2.0, 8),
+                             haar_transform(grid1d(8)))
+    return _all_priors(8) + [besov]
+
+
+@pytest.mark.parametrize("prior", _block_priors(), ids=lambda p: p.kind)
+def test_block_energy_and_subgradient_are_the_stacked_vector_ones(prior):
+    u = RNG.standard_normal((5, 8))
+    u[1, 3] = u[1, 4] = 0.0  # sign(0) := 0 and a flat TV step
+    dense = prior.l_matrix is not None
+    # a block's matrix-matrix (dense L) or matrix-vector (Besov energy)
+    # product may round differently from the vector products
+    for fn, rounds in ((prior.energy, dense or prior.kind == "besov"),
+                       (prior.subgradient, dense)):
+        out = np.ascontiguousarray(fn(u))
+        ref = np.array([fn(row) for row in u])
+        if rounds:
+            assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+        else:
+            np.testing.assert_array_equal(out.view(np.uint64),
+                                          ref.view(np.uint64))
