@@ -11,7 +11,8 @@ Subcommands (each takes a config file plus optional --seed/--out-dir):
 
 Every run writes a manifest listing its artifacts, the config hash and the
 python, numpy and scipy versions. Exit status: 0 done, 1 checks failed,
-2 usage error, 3 refused (the manifest's ``refused`` field says why).
+2 usage error, 3 refused (the manifest's ``usage_error`` or ``refused``
+field says why).
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ import scipy
 
 from .bayescost import format_report_text
 from .config import load_config
-from .experiments import (Refused, ScenarioConfig, build_scenario,
-                          generate_data, run_dilemma_sweep, run_experiment)
+from .experiments import (Refused, ScenarioConfig, UsageError,
+                          build_scenario, generate_data, run_dilemma_sweep,
+                          run_experiment)
 from .grids import Signal, save_signal_csv, save_signal_pgm
 from .sampling import save_chain
 
@@ -90,7 +92,7 @@ class _Writer:
         path.write_text(text if text.endswith("\n") else text + "\n")
         self.artifacts.append({"path": path.name, "kind": "text"})
 
-    def finish(self, refused: str | None = None) -> None:
+    def finish(self, **reason: str) -> None:  # refused= or usage_error=
         manifest = {"config_hash": self.config_hash,
                     "versions": {"python": platform.python_version(),
                                  "numpy": np.__version__,
@@ -99,8 +101,7 @@ class _Writer:
                     "artifacts": sorted((a for a in self.artifacts if
                                          (self.out_dir / a["path"]).exists()),
                                         key=lambda a: a["path"])}
-        if refused is not None:
-            manifest["refused"] = refused
+        manifest.update(reason)
         (self.out_dir / "manifest.json").write_text(
             json.dumps(manifest, indent=2) + "\n")
 
@@ -247,6 +248,10 @@ def main(argv=None) -> int:
         writer.finish(refused=str(exc))
         print(f"bregbayes {args.command}: refused: {exc}", file=sys.stderr)
         return 3
+    except UsageError as exc:  # a one-line reason: the config asks too little
+        writer.finish(usage_error=str(exc))
+        print(f"bregbayes {args.command}: usage error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 import numpy as np
 
@@ -49,6 +52,10 @@ _DEFAULT_SHAPES = {"deblur2d": (64, 64), "tv1d": (63,), "ct2d": (64, 64)}
 
 class Refused(ValueError):
     """A run stopped because a MAP solve it rests on did not converge."""
+
+
+class UsageError(ValueError):
+    """A run stopped before any work: its config asks for too few draws."""
 
 
 @dataclass(frozen=True)
@@ -520,19 +527,77 @@ def scenario_solver_options(cfg: ScenarioConfig, lam: float,
     return replace(cfg.solver, penalty=penalty)
 
 
+def chain_workers(n_chains: int) -> int:
+    """Processes that sample a posterior's chains: one per usable CPU."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(n_chains, len(os.sched_getaffinity(0))))
+
+
+def _send_and_exit(pipe_fd: int, work: Callable[[], list]) -> NoReturn:
+    """Pickle ("ok", work()) or ("error", exc) to the pipe and end this forked
+    child, running none of the parent's exit hooks nor flushing its buffers."""
+    try:
+        with os.fdopen(pipe_fd, "wb") as pipe:
+            try:
+                message = ("ok", work())
+            except BaseException as exc:
+                message = ("error", exc)
+            pickle.dump(message, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+    finally:
+        os._exit(0)
+
+
 def sample_posterior(post: Posterior, cfg: ScenarioConfig, method: str,
                      initial: Optional[np.ndarray] = None) -> list[Chain]:
+    """The chains of ``post`` in index order, sharing one column structure.
+
+    With W = ``chain_workers``, this process samples chains c = 0 (mod W)
+    and W - 1 forked children sample the others. A chain depends only on
+    ``(seed, chain_index)``, so the chains are bit-identical to a one-CPU
+    run. A child's exception is raised again here, a child that dies
+    without a result raises ``RuntimeError``, and every child is reaped.
+    """
     burn = cfg.burn_in if cfg.burn_in is not None else max(1, cfg.n_samples // 10)
-    # the column structure (and the Gibbs colouring) is built once and
-    # shared by every chain of this posterior
     if method == "gibbs":
         layout, sample, options = gibbs_layout(post), sample_gibbs, {}
     else:
         layout, sample = rwm_layout(post), sample_rwm
         options = {"step": cfg.rwm_step}
-    return [sample(post, cfg.n_samples, burn, cfg.thinning, seed=cfg.seed,
-                   chain_index=c, initial=initial, layout=layout, **options)
-            for c in range(cfg.n_chains)]
+
+    def run(indices) -> list[Chain]:
+        return [sample(post, cfg.n_samples, burn, cfg.thinning, seed=cfg.seed,
+                       chain_index=c, initial=initial, layout=layout,
+                       **options) for c in indices]
+
+    workers = chain_workers(cfg.n_chains)
+    shares = [range(w, cfg.n_chains, workers) for w in range(workers)]
+    children = []  # (pid, pipe, chain indices) per forked worker
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _send_and_exit(write_fd, lambda: run(share))
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb"), share))
+        chains = dict(zip(shares[0], run(shares[0])))
+        for _, pipe, share in children:
+            try:
+                status, result = pickle.load(pipe)
+            except Exception as exc:
+                raise RuntimeError(f"the worker sampling chains {list(share)} "
+                                   f"died without a result") from exc
+            if status == "error":
+                raise result
+            chains.update(zip(share, result))
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)  # a no-op for a child that is done
+            os.waitpid(pid, 0)
+    return [chains[c] for c in range(cfg.n_chains)]
 
 
 def _rel_l2(u: np.ndarray, ref: np.ndarray) -> float:
@@ -560,7 +625,7 @@ def run_experiment(cfg: ScenarioConfig, verify: bool = False,
     if verify and not with_cm:
         raise ValueError("verification needs the CM chains")
     if with_cm and cfg.n_samples * cfg.n_chains < 20:  # summarize's batches
-        raise ValueError(f"the CM estimate needs at least 20 draws: [sampler] "
+        raise UsageError(f"the CM estimate needs at least 20 draws: [sampler] "
                          f"samples = {cfg.n_samples} times chains = "
                          f"{cfg.n_chains} gives {cfg.n_samples * cfg.n_chains}")
     parts = build_scenario(cfg)
@@ -605,8 +670,8 @@ def run_experiment(cfg: ScenarioConfig, verify: bool = False,
     sample_s = time.perf_counter() - start
     updates = sum((c.burn_in + len(c) * c.thinning) * c.dim for c in chains)
     # Wall times stay out of metrics.json, so its bytes repeat between runs.
-    _log.info("sampling: sample_s=%.4f coord_updates_per_s=%.6g",
-              sample_s, updates / sample_s)
+    _log.info("sampling: sample_s=%.4f coord_updates_per_s=%.6g workers=%d",
+              sample_s, updates / sample_s, chain_workers(cfg.n_chains))
     merged = _merged_chain(chains)
     cm = summarize(merged, post.prior)
     disc = two_chain_discrepancy(chains[0], chains[-1])

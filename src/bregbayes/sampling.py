@@ -25,7 +25,10 @@ Two samplers are provided:
 
 RNG contract: NumPy PCG64 seeded with SeedSequence([seed, chain_index]),
 so chains are bit-reproducible from (seed, method, options) and parallel
-chains with distinct indices never share a stream. A Gibbs sweep draws
+chains with distinct indices never share a stream. A chain depends on
+nothing else, so ``experiments.sample_posterior`` runs a posterior's
+chains in forked workers, one per usable CPU, and they are bit-identical
+to a one-CPU run; where ``fork`` is missing they run in process. A Gibbs sweep draws
 one ``rng.random((n, 2))`` block and coordinate i uses row i of it,
 whatever the scan order. An RWM sweep draws one ``rng.standard_normal(n)``
 and one ``rng.random(n)``, and coordinate i uses entry i of each.

@@ -227,8 +227,10 @@ def test_cli_estimate_writes_everything(tmp_path, caplog):
                                     "scipy": scipy.__version__}
     timing = [r for r in caplog.records if r.getMessage().startswith("sampling:")]
     assert len(timing) == 1
-    sample_s, updates_per_s = timing[0].args
+    sample_s, updates_per_s, workers = timing[0].args
     assert sample_s > 0 and updates_per_s > 0
+    assert workers == experiments.chain_workers(2)
+    assert "workers" not in metrics  # the host's CPU count stays out
     trace = (out / "map_trace.csv").read_text().splitlines()
     assert trace[0] == "iteration,energy,residual"
     assert trace[-1].split(",")[2] != ""  # final residual recorded
@@ -296,6 +298,18 @@ def test_cli_verify_refuses_unconverged_map(tmp_path, capsys):
     # the refused run lists the trace it left behind
     assert (out / "map_trace.csv").exists()
     assert {"path": "map_trace.csv", "kind": "trace_csv"} in manifest["artifacts"]
+
+
+def test_cli_too_few_draws_is_a_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, TINY_DEBLUR.replace("samples = 40", "samples = 5"))
+    out = tmp_path / "out"
+    assert main(["cm", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["bregbayes cm: usage error: the CM estimate needs at least "
+                   "20 draws: [sampler] samples = 5 times chains = 2 gives 10"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["usage_error"] == err[0].split("usage error: ", 1)[1]
+    assert manifest["artifacts"] == [] and "refused" not in manifest
 
 
 def _run_cli(args, timeout=300):

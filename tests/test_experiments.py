@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import os
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +324,134 @@ def test_run_experiment_refuses_too_few_draws_before_any_work(monkeypatch):
         run_experiment(cfg)
     with pytest.raises(AssertionError, match="before the scenario"):
         run_experiment(cfg, with_cm=False)
+
+
+# -- parallel chains ---------------------------------------------------------------
+
+
+_PARALLEL_CONFIGS = {
+    "deblur2d": dict(recon_shape=(16, 16), truth_factor=2, lam=2.0, spots=2,
+                     kernel_sigma=0.05),
+    "tv1d": dict(recon_shape=(31,), truth_factor=4, lam=2.0, data_size=8,
+                 sweep=(31,), noise_fraction=0.1),
+    "ct2d": dict(recon_shape=(16, 16), truth_factor=2, lam=0.5,
+                 lambda_rule="fixed", angles=7, bins=23, noise_fraction=0.02),
+}
+
+
+def _posterior_to_sample(name, n_chains=2):
+    """A small scenario's posterior at its config lambda, and its config."""
+    cfg = ScenarioConfig(name=name, seed=4, n_samples=30, n_chains=n_chains,
+                         **_PARALLEL_CONFIGS[name])
+    parts = build_scenario(cfg)
+    data = generate_data(parts.truth_fine, parts.forward_fine, parts.restrict,
+                         cfg.noise_fraction, cfg.seed, parts.data_grid)
+    return experiments.assemble_posterior(parts, data, cfg.lam), cfg, parts
+
+
+def _usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _bits(chains):
+    return [c.samples.view(np.uint64) for c in chains]
+
+
+@pytest.mark.parametrize("name", ["deblur2d", "tv1d", "ct2d"])
+def test_parallel_chains_are_the_one_cpu_chains(monkeypatch, name):
+    post, cfg, parts = _posterior_to_sample(name)
+    assert parts.sampler_method == ("rwm" if name == "ct2d" else "gibbs")
+    _usable_cpus(monkeypatch, 1)
+    assert experiments.chain_workers(cfg.n_chains) == 1
+    alone = experiments.sample_posterior(post, cfg, parts.sampler_method)
+    _usable_cpus(monkeypatch, 2)
+    assert experiments.chain_workers(cfg.n_chains) == 2
+    forked = experiments.sample_posterior(post, cfg, parts.sampler_method)
+    for a, b in zip(_bits(alone), _bits(forked), strict=True):
+        np.testing.assert_array_equal(a, b)
+    assert [c.acceptance_rate for c in alone] == [c.acceptance_rate
+                                                  for c in forked]
+    _assert_no_child_left()
+
+
+def test_parallel_chains_come_back_in_index_order(monkeypatch):
+    post, cfg, _ = _posterior_to_sample("deblur2d", n_chains=5)
+    _usable_cpus(monkeypatch, 2)
+    forked = experiments.sample_posterior(post, cfg, "gibbs")
+    burn = max(1, cfg.n_samples // 10)
+    for c, chain in enumerate(forked):
+        one = experiments.sample_gibbs(post, cfg.n_samples, burn, seed=cfg.seed,
+                                       chain_index=c)
+        np.testing.assert_array_equal(chain.samples.view(np.uint64),
+                                      one.samples.view(np.uint64))
+    _assert_no_child_left()
+
+
+def test_parallel_chains_without_fork_run_in_process(monkeypatch):
+    monkeypatch.delattr(experiments.os, "fork", raising=False)
+    assert experiments.chain_workers(4) == 1
+
+
+def _failing_sampler(monkeypatch, fail):
+    real = experiments.sample_gibbs
+
+    def sampler(*args, chain_index, **kwargs):
+        if chain_index == 1:
+            fail()
+        return real(*args, chain_index=chain_index, **kwargs)
+
+    monkeypatch.setattr(experiments, "sample_gibbs", sampler)
+
+
+def test_parallel_chains_raise_a_worker_error_in_the_parent(monkeypatch):
+    post, cfg, _ = _posterior_to_sample("deblur2d", n_chains=3)
+    _usable_cpus(monkeypatch, 2)
+
+    def fail():
+        raise FloatingPointError("chain 1 went astray")
+
+    _failing_sampler(monkeypatch, fail)
+    with pytest.raises(FloatingPointError, match="^chain 1 went astray$"):
+        experiments.sample_posterior(post, cfg, "gibbs")
+    _assert_no_child_left()
+
+
+def test_parallel_chains_raise_when_a_worker_dies(monkeypatch):
+    post, cfg, _ = _posterior_to_sample("deblur2d", n_chains=4)
+    _usable_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def die():
+        if os.getpid() != parent:  # never end the test process itself
+            os._exit(7)
+
+    _failing_sampler(monkeypatch, die)
+    with pytest.raises(RuntimeError, match=r"chains \[1, 3\] died without "
+                                           r"a result"):
+        experiments.sample_posterior(post, cfg, "gibbs")
+    _assert_no_child_left()
+
+
+def test_parallel_chains_reap_the_workers_when_the_parent_fails(monkeypatch):
+    post, cfg, _ = _posterior_to_sample("deblur2d")
+    _usable_cpus(monkeypatch, 2)
+    real = experiments.sample_gibbs
+
+    def sampler(*args, chain_index, **kwargs):
+        if chain_index == 0:
+            raise KeyError("chain 0")
+        return real(*args, chain_index=chain_index, **kwargs)
+
+    monkeypatch.setattr(experiments, "sample_gibbs", sampler)
+    with pytest.raises(KeyError, match="chain 0"):
+        experiments.sample_posterior(post, cfg, "gibbs")
+    _assert_no_child_left()
 
 
 def test_run_experiment_small_ct_rwm():
