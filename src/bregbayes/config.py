@@ -93,6 +93,9 @@ def parse_config_text(text: str) -> ScenarioConfig:
     if name != "ct2d" and "step" in values.get("sampler", {}):
         raise ValueError(f"[sampler] step: {name} samples by Gibbs, which "
                          f"takes no step")
+    if name == "tv1d" and "cg_tol" in values.get("solver", {}):
+        raise ValueError("[solver] cg_tol: tv1d solves its u-step by a "
+                         "banded Cholesky factor, which runs no CG")
 
     solver = SolverOptions(
         penalty=get("solver", "penalty", None),

@@ -7,7 +7,11 @@ plain soft-threshold; a Gaussian prior is solved directly from its normal
 equations by CG. The u-step matrix K^T P K + mu Phi^T Phi (Phi^T Phi = I
 but for TV) is the same in every outer iteration; TV factors it once per
 solve (banded Cholesky), as does the reflective blur (a DCT
-diagonalisation), and elsewhere each u-step runs CG.
+diagonalisation), and elsewhere each u-step runs CG. The CG u-step of
+outer iteration k stops at relative tolerance max(cg_tol, c / k^3): the
+errors are summable, which relaxed ADMM needs to keep its fixed point
+(Eckstein & Bertsekas, Math. Programming 55, 1992, Thm. 8), and a
+continued solve counts k on from its start's iterations.
 The d- and b-updates are over-relaxed with alpha = 1.5 (Boyd et al.,
 "Distributed optimization and statistical learning via ADMM", 2011, sec.
 3.4.3); the fixed point is unchanged. Each iterate's energy takes its
@@ -48,6 +52,10 @@ _ZERO_COEF_RTOL = 1e-6
 # over-relaxation alpha: the d- and b-updates read
 # alpha Phi u + (1 - alpha) d_prev in place of Phi u
 _RELAXATION = 1.5
+
+# c of the CG u-step tolerance schedule max(cg_tol, c / k^3), k the outer
+# iteration
+_CG_TOL_SCALE = 1e-2
 
 # CG iteration cap of a u-step; the Gaussian solve allows max(this, 10 n)
 _CG_MAX_ITERS = 500
@@ -299,8 +307,10 @@ def _split_bregman(post: Posterior, opts: SolverOptions,
 
     if start is None:
         u, d, b = np.zeros(n), np.zeros(m_split), np.zeros(m_split)
+        k0 = 0
     else:
         u, d, b = start.estimate, start.split_coefficients, start.dual / mu
+        k0 = start.iterations
     u_best = u.copy()
     e_best = _model.neg_log_posterior(post, u)
     if start is not None and _residual_norm(post, u) <= opts.tol_residual:
@@ -311,7 +321,8 @@ def _split_bregman(post: Posterior, opts: SolverOptions,
         if exact is not None:
             u = exact(rhs)
         else:
-            u, its = _cg(apply_a, rhs, u, opts.cg_tol, _CG_MAX_ITERS)
+            cg_tol = max(opts.cg_tol, _CG_TOL_SCALE / (k0 + it) ** 3)
+            u, its = _cg(apply_a, rhs, u, cg_tol, _CG_MAX_ITERS)
             cg_iterations += its
         pu = phi_apply(u)
         relaxed = _RELAXATION * pu + (1.0 - _RELAXATION) * d

@@ -313,6 +313,13 @@ def test_accept_09_ct_map_cm_nearly_identical(ct_record):
     _accept(9, "ct-map-cm-nearly-identical")
 
 
+def test_ct_record_lambda_and_map_solves_converge(ct_record):
+    # the bundled ct2d config's s-curve lambda, pinned bit for bit
+    assert ct_record.lam == 102.82855942978897
+    assert all(e["converged"] for e in ct_record.metrics["lambda_search"])
+    assert ct_record.map_result.converged
+
+
 # ---------------------------------------------------------------------------
 # 10. infrastructure
 # ---------------------------------------------------------------------------

@@ -175,6 +175,18 @@ def test_config_rejects_a_tv1d_shape_of_two_sides_and_a_gibbs_step():
         parse_config_text(TINY_TV + "\n[deblur2d]\nspots = 3\n")
 
 
+def test_config_rejects_cg_tol_for_tv1d_only():
+    # the TV u-step is a banded Cholesky solve; it never reads cg_tol
+    with pytest.raises(ValueError, match=r"\[solver\] cg_tol"):
+        parse_config_text(TINY_TV.replace("[solver]", "[solver]\ncg_tol = 1e-8"))
+    # a blur whose radius reaches a grid side has no DCT eigenvalues: CG
+    cfg = parse_config_text(TINY_DEBLUR.replace("[solver]",
+                                                "[solver]\ncg_tol = 1e-8"))
+    assert cfg.solver.cg_tol == 1e-8
+    head = "[scenario]\nname = ct2d\n[solver]\ncg_tol = 1e-9\n"
+    assert parse_config_text(head).solver.cg_tol == 1e-9
+
+
 def test_config_step_is_an_rwm_knob():
     head = "[scenario]\nname = ct2d\n"
     assert parse_config_text(head).rwm_step == 2.4

@@ -542,6 +542,25 @@ def test_radon_besov_map_solve_runs_cg(caplog):
     assert record.metrics["map_cg_iterations"] == record.map_result.cg_iterations
 
 
+def test_s_curve_path_on_the_ct_estimate_posterior():
+    # the benchmark's ct-estimate config: the bundled ct2d at 32x32
+    cfg = ScenarioConfig(name="ct2d", seed=3, recon_shape=(32, 32),
+                         truth_factor=4, noise_fraction=0.01,
+                         lambda_rule="s_curve", s_curve_target=0.11,
+                         s_curve_bracket=(10.0, 5000.0), s_curve_tol=0.02,
+                         angles=15, bins=95,
+                         solver=SolverOptions(max_iters=1200,
+                                              tol_residual=1e-4, cg_tol=1e-8))
+    record = run_experiment(cfg, with_cm=False)
+    search = record.metrics["lambda_search"]
+    assert record.lam == 1893.459155176265
+    assert [round(e["sparsity"], 4) for e in search] == \
+        [0.5703, 0.1895, 0.0801, 0.1367, 0.0996]
+    assert [e["iterations"] for e in search] == [80, 50, 60, 50, 60]
+    assert all(e["converged"] for e in search)
+    assert record.map_result.converged and record.map_result.iterations == 0
+
+
 def test_s_curve_final_map_continues_the_accepted_search_solve(monkeypatch):
     calls = []
 

@@ -7,14 +7,15 @@ import pytest
 import scipy.linalg
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from bregbayes.experiments import build_indicator_1d
+from bregbayes import map_solver
+from bregbayes.experiments import build_indicator_1d, build_shepp_logan
 from bregbayes.grids import Signal, grid1d, grid2d
 from bregbayes.map_solver import (MapResult, SolverOptions, _banded_tv_solver,
                                   _exact_u_step, optimality_residual,
                                   solve_map, subgradient_certificate)
 from bregbayes.model import GaussianNoiseModel, Posterior, neg_log_posterior
 from bregbayes.operators import (from_matrix, gaussian_blur, haar_transform,
-                                 interval_average_1d)
+                                 interval_average_1d, radon)
 from bregbayes.priors import (make_besov_prior, make_gaussian_prior,
                               make_l1_prior, make_tv1d_prior)
 
@@ -349,6 +350,52 @@ def test_blur_wider_than_the_grid_solves_by_cg():
     assert res.converged
     assert res.cg_iterations > 0
     assert res.residual_norm <= 1e-6
+
+
+def _radon_besov_case():
+    """A 16x16 phantom seen at 9 angles, Haar-l1 prior: u-steps run CG."""
+    grid = grid2d(16, 16)
+    k = radon(grid, 9, 23)
+    clean = k.apply(build_shepp_logan(grid).values)
+    sigma = 0.01 * np.abs(clean).max()
+    f = clean + sigma * np.random.default_rng(3).standard_normal(clean.size)
+    post = Posterior(k, Signal(grid2d(9, 23), f),
+                     GaussianNoiseModel.from_sigma(sigma, clean.size),
+                     make_besov_prior(300.0, np.ones(grid.size),
+                                      haar_transform(grid)), grid=grid)
+    return post, SolverOptions(penalty=6400.0, max_iters=2000,
+                               tol_residual=1e-4, cg_tol=1e-8)
+
+
+def test_cg_tolerance_schedule_saves_cg_iterations(monkeypatch):
+    post, opts = _radon_besov_case()
+    scheduled = solve_map(post, opts)
+    monkeypatch.setattr(map_solver, "_CG_TOL_SCALE", 0.0)
+    at_floor = solve_map(post, opts)
+    assert scheduled.converged and at_floor.converged
+    assert 0 < scheduled.cg_iterations < at_floor.cg_iterations
+    # both estimates are certified to tol_residual, and agree to that order
+    scale = np.abs(at_floor.estimate).max()
+    assert (np.abs(scheduled.estimate - at_floor.estimate).max()
+            <= opts.tol_residual * scale)
+
+
+def test_continued_solve_counts_the_cg_schedule_on(monkeypatch):
+    post, opts = _radon_besov_case()
+    tols, cg = [], map_solver._cg
+
+    def recorded(apply_a, rhs, x0, tol, max_iters):
+        tols.append(tol)
+        return cg(apply_a, rhs, x0, tol, max_iters)
+
+    monkeypatch.setattr(map_solver, "_cg", recorded)
+    early = solve_map(post, dataclasses.replace(opts, max_iters=20))
+    rest = solve_map(post, opts, early)
+    assert not early.converged and rest.converged and rest.iterations > 0
+    # outer iteration k of the pair runs CG to max(cg_tol, c / k^3)
+    c = map_solver._CG_TOL_SCALE
+    assert tols == [max(opts.cg_tol, c / k**3)
+                    for k in range(1, 21 + rest.iterations)]
 
 
 def _energy_case(case, rng):

@@ -761,6 +761,24 @@ def test_summarize_degenerate_chain():
     np.testing.assert_array_equal(summary.subgradient_mean, [1.0, -1.0])
 
 
+@pytest.mark.parametrize("rows", [480, 487])
+def test_summarize_subgradient_matches_the_full_block(rows):
+    # summarize evaluates the subgradient batch by batch; its statistics
+    # are those of the whole block, bit for bit, leftover rows included
+    grid = grid2d(16, 16)
+    prior = make_besov_prior(0.7, np.random.default_rng(1).uniform(
+        0.5, 2.0, grid.size), haar_transform(grid))
+    samples = np.random.default_rng(2).standard_normal((rows, grid.size))
+    summary = summarize(Chain(samples, seed=0, burn_in=0, thinning=1,
+                              method="rwm"), prior)
+    full = prior.subgradient(samples)
+    np.testing.assert_array_equal(summary.subgradient_mean, full.mean(axis=0))
+    np.testing.assert_array_equal(summary.subgradient_stderr,
+                                  batch_means_stderr(full))
+    np.testing.assert_array_equal(summary.mean, samples.mean(axis=0))
+    np.testing.assert_array_equal(summary.stderr, batch_means_stderr(samples))
+
+
 def test_summarize_two_sample_mean():
     chain = Chain(np.array([[0.0], [2.0]]), seed=0, burn_in=0, thinning=1,
                   method="gibbs")
