@@ -1,10 +1,10 @@
 """Bayes cost functions and executable checks of the estimator theory.
 
-Two convex cost families are implemented next to the classical MSE and
-0-1 losses:
+Three cost kinds, all evaluated by one block evaluator (``_CachedCost``):
 
-    cost_ls(u, uhat)      = ||K (uhat - u)||^2_P + beta ||L (uhat - u)||^2
-    cost_bregman(u, uhat) = ||K (uhat - u)||^2_P + 2 lam D_J(uhat, u)
+    ls(u, uhat)      = ||K (uhat - u)||^2_P + beta ||L (uhat - u)||^2
+    bregman(u, uhat) = ||K (uhat - u)||^2_P + 2 lam D_J(uhat, u)
+    uniform(u, uhat) = 0-1 loss, 0 when ||u - uhat||_inf <= delta
 
 The CM estimate minimizes the posterior expectation of the first, the MAP
 estimate of the second; the checks below probe these optimality claims by
@@ -16,7 +16,6 @@ CM estimate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -35,7 +34,7 @@ from .sampling import Chain, batch_means_stderr
 class CostSpec:
     """Which cost to evaluate, with exactly the fields its kind demands."""
 
-    kind: str  # ls | bregman | mse | uniform
+    kind: str  # ls | bregman | uniform
     operator: Optional[LinearOperator] = None
     noise: Optional[GaussianNoiseModel] = None
     l_matrix: Optional[np.ndarray] = field(default=None, repr=False)
@@ -58,11 +57,6 @@ class CostSpec:
                 raise ValueError("operator and noise go together")
             if self.delta is not None:
                 raise ValueError("bregman cost takes no delta")
-        elif self.kind == "mse":
-            if any(x is not None for x in (self.operator, self.noise,
-                                           self.l_matrix, self.prior,
-                                           self.delta)):
-                raise ValueError("mse cost takes no extra fields")
         elif self.kind == "uniform":
             if self.delta is None or self.delta <= 0:
                 raise ValueError("uniform cost needs delta > 0")
@@ -85,50 +79,54 @@ class CostSpec:
         return cls("bregman", operator=operator, noise=noise, prior=prior)
 
     @classmethod
-    def mse(cls):
-        return cls("mse")
-
-    @classmethod
     def uniform(cls, delta: float):
         return cls("uniform", delta=delta)
 
     def evaluate(self, u, uhat) -> float:
-        if self.kind in ("ls", "mse"):
-            return cost_ls(u, uhat, self)
-        if self.kind == "bregman":
-            return cost_bregman(u, uhat, self)
-        return cost_uniform(u, uhat, self.delta)
+        """The cost of estimating u by uhat (the Bregman subgradient is
+        taken at u)."""
+        return float(_CachedCost(as_vector(u)[None], self)
+                     .costs_at(as_vector(uhat))[0])
 
 
-def _output_term(diff: np.ndarray, spec: CostSpec) -> float:
-    if spec.operator is None:
-        return 0.0
-    return weighted_sq_norm(spec.operator.apply(diff), spec.noise)
+class _CachedCost:
+    """The costs of any point c against every row of a block of samples.
 
+    The pieces that depend on the samples alone are computed once, so the
+    probes of one block share them (common random numbers).
+    """
 
-def cost_ls(u, uhat, spec: CostSpec) -> float:
-    """||K (uhat - u)||^2_P + beta ||L (uhat - u)||^2 (the mse kind drops K)."""
-    diff = as_vector(uhat) - as_vector(u)
-    if spec.kind == "mse":
-        return float(diff @ diff)
-    quad = diff if spec.l_matrix is None else spec.l_matrix @ diff
-    return _output_term(diff, spec) + spec.beta * float(quad @ quad)
+    def __init__(self, samples: np.ndarray, spec: CostSpec):
+        self.spec = spec
+        self.samples = samples
+        self.k_samples = (None if spec.operator is None
+                          else spec.operator.apply(samples))
+        if spec.kind == "ls":
+            l_mat = spec.l_matrix
+            self.l_samples = samples if l_mat is None else samples @ l_mat.T
+        elif spec.kind == "bregman":
+            self.j_samples = spec.prior.energy(samples)
+            self.q_samples = spec.prior.subgradient(samples)
+            self.qu_samples = np.einsum("ij,ij->i", self.q_samples, samples)
 
-
-def cost_bregman(u, uhat, spec: CostSpec) -> float:
-    """||K (uhat - u)||^2_P + 2 lam D_J(uhat, u), subgradient taken at u."""
-    u = as_vector(u)
-    uhat = as_vector(uhat)
-    prior = spec.prior
-    breg = prior.bregman(uhat, u)
-    return _output_term(uhat - u, spec) + 2.0 * prior.lam * breg
-
-
-def cost_uniform(u, uhat, delta: float) -> float:
-    """0-1 loss: 0 when ||u - uhat||_inf <= delta (boundary included)."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return 0.0 if np.abs(as_vector(u) - as_vector(uhat)).max() <= delta else 1.0
+    def costs_at(self, c: np.ndarray) -> np.ndarray:
+        spec = self.spec
+        if spec.kind == "uniform":
+            return (np.abs(self.samples - c).max(axis=1)
+                    > spec.delta).astype(float)
+        out = np.zeros(self.samples.shape[0])
+        if self.k_samples is not None:
+            dk = self.k_samples - spec.operator.apply(c)
+            out += np.einsum("ij,ij->i", dk,
+                             dk * spec.noise.precision_diag)
+        if spec.kind == "ls":
+            lc = c if spec.l_matrix is None else spec.l_matrix @ c
+            d = self.l_samples - lc
+            return out + spec.beta * np.einsum("ij,ij->i", d, d)
+        prior = spec.prior
+        breg = (prior.energy(c) - self.j_samples
+                - (self.q_samples @ c - self.qu_samples))
+        return out + 2.0 * prior.lam * breg
 
 
 @dataclass(frozen=True)
@@ -141,16 +139,19 @@ class CostReport:
         return asdict(self)
 
 
+def _cost_report(costs: np.ndarray, n_batches: int) -> CostReport:
+    """Mean of per-sample costs (or cost differences), with its batch-means
+    stderr; NaN stderr when there are fewer samples than batches."""
+    stderr = (float(batch_means_stderr(costs[:, None], n_batches)[0])
+              if costs.size >= n_batches else float("nan"))
+    return CostReport(float(costs.mean()), stderr, costs.size)
+
+
 def mc_bayes_cost(chain: Chain, uhat, spec: CostSpec,
                   n_batches: int = 20) -> CostReport:
     """Posterior-expected cost at uhat by Monte Carlo over the chain."""
-    if len(chain) < 1:
-        raise ValueError("empty chain")
-    uhat = as_vector(uhat)
-    costs = _CachedCost(chain, spec).costs_at(uhat)
-    stderr = (float(batch_means_stderr(costs[:, None], n_batches)[0])
-              if len(chain) >= n_batches else float("nan"))
-    return CostReport(float(costs.mean()), stderr, len(chain))
+    costs = _CachedCost(chain.samples, spec).costs_at(as_vector(uhat))
+    return _cost_report(costs, n_batches)
 
 
 # ---------------------------------------------------------------------------
@@ -184,47 +185,6 @@ class OptimalityReport:
                 "n_beaten": self.n_beaten, "passed": self.passed}
 
 
-class _CachedCost:
-    """Per-sample cost pieces reused across probes (common random numbers)."""
-
-    def __init__(self, chain: Chain, spec: CostSpec):
-        self.spec = spec
-        self.samples = chain.samples
-        self.k_samples = (None if spec.operator is None
-                          else spec.operator.apply(self.samples))
-        if spec.kind in ("ls", "mse"):
-            l_mat = spec.l_matrix
-            self.l_samples = (self.samples if l_mat is None
-                              else self.samples @ l_mat.T)
-        elif spec.kind == "bregman":
-            self.j_samples = spec.prior.energy(self.samples)
-            self.q_samples = spec.prior.subgradient(self.samples)
-            self.qu_samples = np.einsum("ij,ij->i", self.q_samples,
-                                        self.samples)
-
-    def costs_at(self, c: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        if spec.kind == "uniform":
-            return (np.abs(self.samples - c).max(axis=1)
-                    > spec.delta).astype(float)
-        out = np.zeros(self.samples.shape[0])
-        if self.k_samples is not None:
-            dk = self.k_samples - spec.operator.apply(c)
-            out += np.einsum("ij,ij->i", dk,
-                             dk * spec.noise.precision_diag)
-        if spec.kind == "mse":
-            d = self.samples - c
-            return out + np.einsum("ij,ij->i", d, d)
-        if spec.kind == "ls":
-            lc = c if spec.l_matrix is None else spec.l_matrix @ c
-            d = self.l_samples - lc
-            return out + spec.beta * np.einsum("ij,ij->i", d, d)
-        prior = spec.prior
-        breg = (prior.energy(c) - self.j_samples
-                - (self.q_samples @ c - self.qu_samples))
-        return out + 2.0 * prior.lam * breg
-
-
 _PROBE_SCALES = (0.1, 0.5, 1.0)
 
 
@@ -242,9 +202,8 @@ def verify_bayes_optimality(chain: Chain, candidate, spec: CostSpec,
     if len(chain) < n_batches:
         raise ValueError("chain too short for batch means")
     candidate = as_vector(candidate)
-    cache = _CachedCost(chain, spec)
+    cache = _CachedCost(chain.samples, spec)
     base = cache.costs_at(candidate)
-    base_stderr = float(batch_means_stderr(base[:, None], n_batches)[0])
     probes = []
     n_beaten = 0
     for j in range(n_probes):
@@ -252,15 +211,13 @@ def verify_bayes_optimality(chain: Chain, candidate, spec: CostSpec,
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), j]))
         direction = rng.standard_normal(candidate.size)
         direction /= max(np.linalg.norm(direction), 1e-300)
-        diffs = cache.costs_at(candidate + scale * direction) - base
-        margin = float(diffs.mean())
-        stderr = float(batch_means_stderr(diffs[:, None], n_batches)[0])
-        beaten = margin < -3.0 * stderr
+        diff = _cost_report(cache.costs_at(candidate + scale * direction)
+                            - base, n_batches)
+        beaten = diff.estimate_cost < -3.0 * diff.stderr
         n_beaten += int(beaten)
-        probes.append(ProbeResult(scale, margin, stderr, beaten))
-    return OptimalityReport(spec.kind,
-                            CostReport(float(base.mean()), base_stderr,
-                                       len(chain)),
+        probes.append(ProbeResult(scale, diff.estimate_cost, diff.stderr,
+                                  beaten))
+    return OptimalityReport(spec.kind, _cost_report(base, n_batches),
                             probes, n_beaten, n_beaten == 0)
 
 
@@ -292,32 +249,22 @@ def theorem_ineq_check(chain: Chain, map_est, cm_est,
 
     The CM estimate must win in the quadratic metric ||L (. - u)||^2 and
     the MAP estimate in the Bregman distance D_J(., u); each margin must
-    clear -3 stderr.
+    clear -3 stderr. Both margins are costs of the one evaluator: the
+    Bregman cost without output term is 2 lam D_J.
     """
     if len(chain) < n_batches:
         raise ValueError("chain too short for batch means")
     map_est = as_vector(map_est)
     cm_est = as_vector(cm_est)
-    samples = chain.samples
-    d_map = map_est[None, :] - samples
-    d_cm = cm_est[None, :] - samples
-    if l_matrix is not None:
-        d_map = d_map @ l_matrix.T
-        d_cm = d_cm @ l_matrix.T
-    g = (np.einsum("ij,ij->i", d_map, d_map)
-         - np.einsum("ij,ij->i", d_cm, d_cm))
-    # D(cm, u_k) - D(map, u_k): the J(u_k) terms cancel
-    j_gap = prior.energy(cm_est) - prior.energy(map_est)
-    step = cm_est - map_est
-    h = j_gap - row_dot(prior.subgradient(samples), step)
-    g_margin = float(g.mean())
-    h_margin = float(h.mean())
-    g_stderr = float(batch_means_stderr(g[:, None], n_batches)[0])
-    h_stderr = float(batch_means_stderr(h[:, None], n_batches)[0])
-    g_ok = g_margin >= -3.0 * g_stderr
-    h_ok = h_margin >= -3.0 * h_stderr
-    return InequalityReport(g_margin, g_stderr, g_ok, h_margin, h_stderr, h_ok,
-                            g_ok and h_ok)
+    quad = _CachedCost(chain.samples, CostSpec.ls(l_matrix=l_matrix))
+    breg = _CachedCost(chain.samples, CostSpec.bregman(prior))
+    g = _cost_report(quad.costs_at(map_est) - quad.costs_at(cm_est), n_batches)
+    h = _cost_report((breg.costs_at(cm_est) - breg.costs_at(map_est))
+                     / (2.0 * prior.lam), n_batches)
+    g_ok = g.estimate_cost >= -3.0 * g.stderr
+    h_ok = h.estimate_cost >= -3.0 * h.stderr
+    return InequalityReport(g.estimate_cost, g.stderr, g_ok, h.estimate_cost,
+                            h.stderr, h_ok, g_ok and h_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +286,18 @@ class CenteredEnergyReport:
         return d
 
 
+# points per block: one block of all 101 points raised the deblur peak RSS
+_POINT_BLOCK = 16
+
+
 def centered_energy_check(post: Posterior, map_result: MapResult,
-                          n_points: int = 100, seed: int = 0,
-                          point_scale: Optional[float] = None) -> CenteredEnergyReport:
+                          n_points: int = 100,
+                          seed: int = 0) -> CenteredEnergyReport:
     """Verify E(u) - [1/2 ||K(u - map)||^2_P + lam D^p(u, map)] is constant.
 
-    Evaluated at random points around the MAP estimate using the stored
-    subgradient certificate p; the spread must stay below
+    Evaluated at the MAP estimate and n_points random points around it,
+    using the stored subgradient certificate p, in blocks of
+    ``_POINT_BLOCK`` points; the spread must stay below
     1e-8 * (1 + |constant|).
     """
     uhat = map_result.estimate
@@ -353,15 +305,21 @@ def centered_energy_check(post: Posterior, map_result: MapResult,
     if p_hat is None:
         raise ValueError("map result carries no subgradient certificate")
     rng = np.random.default_rng(seed)
-    scale = point_scale if point_scale is not None else 1.0 + np.abs(uhat).max()
+    scale = 1.0 + np.abs(uhat).max()
     prior = post.prior
+    j_hat = prior.energy(uhat)
     deltas = np.empty(n_points + 1)
-    for j in range(n_points + 1):
-        u = uhat if j == 0 else uhat + scale * rng.standard_normal(uhat.size)
-        centered = (0.5 * weighted_sq_norm(post.operator.apply(u - uhat),
-                                           post.noise)
-                    + prior.lam * prior.bregman(u, uhat, q=p_hat))
-        deltas[j] = _model.neg_log_posterior(post, u) - centered
+    for start in range(0, n_points + 1, _POINT_BLOCK):
+        rows = min(_POINT_BLOCK, n_points + 1 - start)
+        first = int(start == 0)  # the point at index 0 is uhat itself
+        u = np.tile(uhat, (rows, 1))
+        u[first:] += scale * rng.standard_normal((rows - first, uhat.size))
+        d = u - uhat
+        breg = prior.energy(u) - j_hat - row_dot(d, p_hat)
+        centered = (0.5 * weighted_sq_norm(post.operator.apply(d), post.noise)
+                    + prior.lam * breg)
+        deltas[start:start + rows] = (_model.neg_log_posterior(post, u)
+                                      - centered)
     spread = float(deltas.max() - deltas.min())
     constant = float(deltas.mean())
     tol = 1e-8 * (1.0 + abs(constant))
@@ -402,10 +360,12 @@ def cm_optimality_check(post: Posterior, chain: Chain,
     stderr = batch_means_stderr(grads, n_batches)
     sup = float(np.abs(residual).max())
     rng = np.random.default_rng(20240817)
-    # in place: one (400, n) array, 13 MB at 64 x 64
-    null = rng.standard_normal((400, stderr.size))
-    null *= stderr
-    null_max = np.abs(null, out=null).max(axis=1)
+    # 400 null draws from one stream, 50 rows at a time: no (400, n) block
+    null_max = np.empty(400)
+    for start in range(0, 400, 50):
+        null = rng.standard_normal((50, stderr.size))
+        null *= stderr
+        np.abs(null, out=null).max(axis=1, out=null_max[start:start + 50])
     threshold = max(3.0 * float(stderr.max()),
                     float(null_max.mean() + 3.0 * null_max.std(ddof=1)))
     return CmOptimalityReport(sup, threshold, float(stderr.max()),
@@ -458,19 +418,6 @@ def uniform_cost_map_limit(post: Posterior, center, half_width: float = 2.0,
             "sup_distance_to_max": float(np.abs(minimizer - density_max).max()),
         })
     return out
-
-
-def report_to_json(report, path=None) -> str:
-    """Serialize any check report (or a list of them) to JSON."""
-    if isinstance(report, (list, tuple)):
-        payload = [r.to_dict() if hasattr(r, "to_dict") else r for r in report]
-    else:
-        payload = report.to_dict() if hasattr(report, "to_dict") else report
-    text = json.dumps(payload, indent=2)
-    if path is not None:
-        from pathlib import Path
-        Path(path).write_text(text + "\n")
-    return text
 
 
 def format_report_text(report) -> str:

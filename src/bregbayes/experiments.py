@@ -473,11 +473,8 @@ def resolve_lambda(cfg: ScenarioConfig, parts: ScenarioParts,
         lam = lambda_sqrt_rule(parts.recon_grid.size, cfg.rule_constant)
         return lam, [], None
     # s_curve: match the truth's coefficient sparsity
-    noise = GaussianNoiseModel.from_sigma(data.sigma, parts.data_grid.size)
-
     def factory(lam: float) -> Posterior:
-        return Posterior(parts.recon_operator, data.data, noise,
-                         parts.make_prior(lam), grid=parts.recon_grid)
+        return assemble_posterior(parts, data, lam)
 
     probe_prior = parts.make_prior(1.0)
     target = cfg.s_curve_target
@@ -673,7 +670,7 @@ def run_experiment(cfg: ScenarioConfig, verify: bool = False,
     _log.info("sampling: sample_s=%.4f coord_updates_per_s=%.6g workers=%d",
               sample_s, updates / sample_s, chain_workers(cfg.n_chains))
     merged = _merged_chain(chains)
-    cm = summarize(merged, post.prior)
+    cm = summarize(merged)
     disc = two_chain_discrepancy(chains[0], chains[-1])
     metrics.update({
         "rel_l2_cm": _rel_l2(cm.mean, truth),

@@ -50,7 +50,6 @@ from scipy.special import log_ndtr, ndtri_exp
 from .grids import Grid
 from .model import Posterior
 from .operators import sparse_columns
-from .priors import Prior
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +473,6 @@ class Chain:
 class ChainSummary:
     mean: np.ndarray = field(repr=False)
     stderr: np.ndarray = field(repr=False)  # componentwise, batch means
-    subgradient_mean: np.ndarray = field(repr=False)
-    subgradient_stderr: np.ndarray = field(repr=False)
     n_samples: int
 
 
@@ -492,38 +489,16 @@ def batch_means_stderr(values: np.ndarray, n_batches: int = 20) -> np.ndarray:
     batch_len = m // n_batches
     used = values[: n_batches * batch_len]
     means = used.reshape(n_batches, batch_len, -1).mean(axis=1)
-    return _stderr_of_batch_means(means)
+    return means.std(axis=0, ddof=1) / np.sqrt(n_batches)
 
 
-def _stderr_of_batch_means(means: np.ndarray) -> np.ndarray:
-    return means.std(axis=0, ddof=1) / np.sqrt(len(means))
-
-
-def summarize(chain: Chain, prior: Prior, n_batches: int = 20) -> ChainSummary:
-    """CM estimate, its batch-means stderr, and the mean prior subgradient.
-
-    The subgradients are evaluated one batch of rows at a time, so no
-    block of them as large as the chain is held. Rows are summed in order,
-    as a reduction over the whole block sums them, so the mean and the
-    batch means are those of the whole block.
-    """
-    m = len(chain)
-    if m < n_batches:
+def summarize(chain: Chain, n_batches: int = 20) -> ChainSummary:
+    """CM estimate and its componentwise batch-means stderr."""
+    if len(chain) < n_batches:
         raise ValueError(f"need at least {n_batches} samples to summarize")
-    batch_len = m // n_batches
-    total, means = None, np.empty((n_batches, chain.dim))
-    for i, start in enumerate(range(0, m, batch_len)):
-        q = prior.subgradient(chain.samples[start:start + batch_len])
-        if i < n_batches:
-            q.mean(axis=0, out=means[i])
-        total = (q if total is None else np.vstack([total, q])).sum(axis=0)
-    return ChainSummary(
-        mean=chain.samples.mean(axis=0),
-        stderr=batch_means_stderr(chain.samples, n_batches),
-        subgradient_mean=total / m,
-        subgradient_stderr=_stderr_of_batch_means(means),
-        n_samples=m,
-    )
+    return ChainSummary(mean=chain.samples.mean(axis=0),
+                        stderr=batch_means_stderr(chain.samples, n_batches),
+                        n_samples=len(chain))
 
 
 @dataclass(frozen=True)

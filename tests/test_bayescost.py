@@ -1,19 +1,22 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from bregbayes.bayescost import (CostSpec, centered_energy_check,
-                                 cm_optimality_check, cost_bregman, cost_ls,
-                                 cost_uniform, format_report_text,
-                                 mc_bayes_cost, report_to_json,
-                                 theorem_ineq_check, uniform_cost_map_limit,
+                                 cm_optimality_check, format_report_text,
+                                 mc_bayes_cost, theorem_ineq_check,
+                                 uniform_cost_map_limit,
                                  verify_bayes_optimality, _CachedCost)
-from bregbayes.grids import Signal, grid1d
+from bregbayes.grids import Signal, grid1d, grid2d
 from bregbayes.map_solver import solve_map
-from bregbayes.model import GaussianNoiseModel, Posterior, neg_log_posterior
-from bregbayes.operators import from_matrix
+from bregbayes.model import (GaussianNoiseModel, Posterior, neg_log_posterior,
+                             neg_log_posterior_gradient, weighted_sq_norm)
+from bregbayes.operators import from_matrix, gaussian_blur
 from bregbayes.priors import make_gaussian_prior, make_l1_prior
-from bregbayes.sampling import Chain, sample_gibbs, summarize
+from bregbayes.sampling import (Chain, batch_means_stderr, sample_gibbs,
+                                summarize)
 
 RNG = np.random.default_rng(1357)
 
@@ -39,26 +42,44 @@ def _quad_expect(fn):
 # -- pointwise cost values -----------------------------------------------------
 
 
+def _per_sample_costs(spec, samples, c, k=None, sigma=1.0):
+    """Each sample's cost written out in numpy, one sample at a time, with
+    the dense matrix k (noise std sigma) for the spec's output term."""
+    costs = []
+    for u in samples:
+        d = c - u
+        if spec.kind == "uniform":
+            costs.append(float(np.abs(d).max() > spec.delta))
+            continue
+        out = 0.0 if k is None else float((k @ d) @ (k @ d)) / sigma**2
+        if spec.kind == "ls":
+            ld = d if spec.l_matrix is None else spec.l_matrix @ d
+            costs.append(out + spec.beta * float(ld @ ld))
+        else:
+            costs.append(out + 2.0 * spec.prior.lam * spec.prior.bregman(c, u))
+    return np.array(costs)
+
+
 def test_cost_ls_values():
     spec = CostSpec.ls()  # no output term, L = I, beta = 1
-    assert cost_ls([1.0, 2.0], [1.0, 2.0], spec) == 0.0
-    assert cost_ls([0.0, 0.0], [1.0, 2.0], spec) == pytest.approx(5.0)
+    assert spec.evaluate([1.0, 2.0], [1.0, 2.0]) == 0.0
+    assert spec.evaluate([0.0, 0.0], [1.0, 2.0]) == pytest.approx(5.0)
     zero_op = from_matrix(np.zeros((2, 2)))
     noise = GaussianNoiseModel.from_sigma(1.0, 2)
     spec = CostSpec.ls(zero_op, noise)
-    assert cost_ls([0.0, 0.0], [1.0, 2.0], spec) == pytest.approx(5.0)
+    assert spec.evaluate([0.0, 0.0], [1.0, 2.0]) == pytest.approx(5.0)
     # beta = 0: output-space cost only
     k = from_matrix(np.array([[2.0, 0.0], [0.0, 3.0]]))
     spec = CostSpec.ls(k, noise, beta=0.0)
-    assert cost_ls([0.0, 0.0], [1.0, 1.0], spec) == pytest.approx(13.0)
+    assert spec.evaluate([0.0, 0.0], [1.0, 1.0]) == pytest.approx(13.0)
 
 
 def test_cost_bregman_values():
     prior = make_l1_prior(1.0)
     spec = CostSpec.bregman(prior)
-    assert cost_bregman([1.0], [1.0], spec) == 0.0
+    assert spec.evaluate([1.0], [1.0]) == 0.0
     # scalar, K = 0, lam = 1, u = 1, uhat = -2: 2 * D(-2, 1) = 8
-    assert cost_bregman([1.0], [-2.0], spec) == pytest.approx(8.0)
+    assert spec.evaluate([1.0], [-2.0]) == pytest.approx(8.0)
 
 
 def test_cost_bregman_gaussian_reduces_to_ls():
@@ -72,17 +93,18 @@ def test_cost_bregman_gaussian_reduces_to_ls():
     spec_l = CostSpec.ls(k, noise, l_matrix=l_mat, beta=beta)
     for _ in range(100):
         u, uhat = RNG.standard_normal(n), RNG.standard_normal(n)
-        b = cost_bregman(u, uhat, spec_b)
-        l = cost_ls(u, uhat, spec_l)
+        b = spec_b.evaluate(u, uhat)
+        l = spec_l.evaluate(u, uhat)
         assert b == pytest.approx(l, rel=1e-12, abs=1e-12)
 
 
 def test_cost_uniform_boundary():
-    assert cost_uniform([1.0], [1.0], 0.5) == 0.0
-    assert cost_uniform([0.0, 0.0], [0.5, -0.5], 0.5) == 0.0  # boundary in
-    assert cost_uniform([0.0], [1.0], 0.5) == 1.0
+    spec = CostSpec.uniform(0.5)
+    assert spec.evaluate([1.0], [1.0]) == 0.0
+    assert spec.evaluate([0.0, 0.0], [0.5, -0.5]) == 0.0  # boundary in
+    assert spec.evaluate([0.0], [1.0]) == 1.0
     with pytest.raises(ValueError):
-        cost_uniform([0.0], [1.0], 0.0)
+        CostSpec.uniform(0.0)
 
 
 def test_costs_convex_in_uhat():
@@ -90,7 +112,7 @@ def test_costs_convex_in_uhat():
     k = from_matrix(RNG.standard_normal((3, 4)))
     noise = GaussianNoiseModel.from_sigma(1.0, 3)
     for spec in (CostSpec.ls(k, noise), CostSpec.bregman(prior, k, noise),
-                 CostSpec.mse()):
+                 CostSpec.ls()):
         for _ in range(20):
             u = RNG.standard_normal(4)
             a, b = RNG.standard_normal(4), RNG.standard_normal(4)
@@ -108,18 +130,17 @@ def test_cost_bregman_dominates_output_term():
     spec_out = CostSpec.ls(k, noise, beta=0.0)
     for _ in range(30):
         u, uhat = RNG.standard_normal(4), RNG.standard_normal(4)
-        assert (cost_bregman(u, uhat, spec)
-                >= cost_ls(u, uhat, spec_out) - 1e-12)
+        assert (spec.evaluate(u, uhat)
+                >= spec_out.evaluate(u, uhat) - 1e-12)
 
 
-def test_mse_is_ls_without_output_term():
-    # the mse kind equals cost_ls with no K term, L = I, beta = 1
+def test_plain_ls_is_the_squared_distance():
+    # no K term, L = I, beta = 1: the mean squared error's cost
     plain_ls = CostSpec.ls()
-    mse = CostSpec.mse()
     for _ in range(20):
         u, uhat = RNG.standard_normal(5), RNG.standard_normal(5)
-        assert mse.evaluate(u, uhat) == pytest.approx(
-            plain_ls.evaluate(u, uhat), rel=1e-14)
+        assert plain_ls.evaluate(u, uhat) == pytest.approx(
+            float((uhat - u) @ (uhat - u)), rel=1e-14)
 
 
 def test_cost_spec_field_validation():
@@ -129,7 +150,9 @@ def test_cost_spec_field_validation():
     with pytest.raises(ValueError):
         CostSpec("bregman")
     with pytest.raises(ValueError):
-        CostSpec("mse", delta=0.1)
+        CostSpec("uniform", delta=0.1, prior=prior)
+    with pytest.raises(ValueError, match="unknown cost kind"):
+        CostSpec("mse")
     with pytest.raises(ValueError):
         CostSpec("uniform")
     with pytest.raises(ValueError):
@@ -143,7 +166,7 @@ def test_mc_bayes_cost_degenerate_chain():
     uhat = np.array([1.0, -1.0])
     chain = Chain(np.tile(uhat, (25, 1)), seed=0, burn_in=0, thinning=1,
                   method="gibbs")
-    rep = mc_bayes_cost(chain, uhat, CostSpec.mse())
+    rep = mc_bayes_cost(chain, uhat, CostSpec.ls())
     assert rep.estimate_cost == 0.0
     assert rep.stderr == 0.0
     assert rep.n_samples == 25
@@ -153,7 +176,7 @@ def test_mc_bayes_cost_gaussian_variance():
     # MSE cost at the posterior mean equals the posterior variance
     post = _post([[1.0]], [1.0], 1.0, make_gaussian_prior(1.0, 1.0))
     chain = sample_gibbs(post, 30000, burn_in=300, seed=13)
-    rep = mc_bayes_cost(chain, [0.5], CostSpec.mse())
+    rep = mc_bayes_cost(chain, [0.5], CostSpec.ls())
     assert abs(rep.estimate_cost - 0.5) <= 3 * rep.stderr
 
 
@@ -170,35 +193,38 @@ def test_mc_bayes_cost_matches_quadrature():
 def test_cached_cost_matches_direct_evaluation():
     post = _scalar_l1_posterior()
     chain = sample_gibbs(post, 500, burn_in=50, seed=19)
-    specs = [CostSpec.mse(), CostSpec.uniform(0.4),
+    specs = [CostSpec.ls(), CostSpec.uniform(0.4),
              CostSpec.ls(post.operator, post.noise, beta=0.3),
              CostSpec.bregman(post.prior, post.operator, post.noise)]
     c = np.array([0.7])
     for spec in specs:
-        cached = _CachedCost(chain, spec).costs_at(c)
-        direct = np.array([spec.evaluate(u, c) for u in chain.samples])
+        cached = _CachedCost(chain.samples, spec).costs_at(c)
+        k = None if spec.operator is None else np.eye(1)
+        direct = _per_sample_costs(spec, chain.samples, c, k)
         np.testing.assert_allclose(cached, direct, atol=1e-12)
+        assert spec.evaluate(chain.samples[3], c) == cached[3]
 
 
 def test_mc_bayes_cost_mean_matches_per_sample_evaluation():
-    # mc_bayes_cost goes through the cached evaluator; its mean must be
-    # the mean of the plain per-sample costs, for every cost kind
+    # mc_bayes_cost's mean must be the mean of the per-sample costs
+    # written out in numpy, for every cost kind
     rng = np.random.default_rng(31)
     k = rng.standard_normal((4, 3)) + np.eye(4, 3)
     post = _post(k, rng.standard_normal(4), 0.8, make_l1_prior(0.9))
     chain = sample_gibbs(post, 400, burn_in=40, seed=37)
-    specs = [CostSpec.mse(), CostSpec.uniform(0.6),
+    specs = [CostSpec.ls(), CostSpec.uniform(0.6),
              CostSpec.ls(post.operator, post.noise,
                          rng.standard_normal((2, 3)), beta=0.3),
              CostSpec.bregman(post.prior, post.operator, post.noise)]
     uhat = rng.standard_normal(3)
     for spec in specs:
         rep = mc_bayes_cost(chain, uhat, spec)
-        direct = np.mean([spec.evaluate(u, uhat) for u in chain.samples])
-        assert rep.estimate_cost == pytest.approx(direct, rel=1e-12,
+        direct = _per_sample_costs(spec, chain.samples, uhat,
+                                   None if spec.operator is None else k, 0.8)
+        assert rep.estimate_cost == pytest.approx(direct.mean(), rel=1e-12,
                                                   abs=1e-12), spec.kind
         assert rep.n_samples == len(chain)
-    uniform = np.array([specs[1].evaluate(u, uhat) for u in chain.samples])
+    uniform = _per_sample_costs(specs[1], chain.samples, uhat)
     assert 0.0 < uniform.mean() < 1.0  # both outcomes occur
 
 
@@ -241,7 +267,7 @@ def test_optimality_refuses_a_chain_shorter_than_the_batch_count():
     chain = Chain(RNG.standard_normal((10, 3)), seed=0, burn_in=0, thinning=1,
                   method="gibbs")
     with pytest.raises(ValueError, match="chain too short"):
-        verify_bayes_optimality(chain, np.full(3, 50.0), CostSpec.mse(),
+        verify_bayes_optimality(chain, np.full(3, 50.0), CostSpec.ls(),
                                 n_probes=6)
 
 
@@ -262,7 +288,7 @@ def test_theorem_inequalities_gaussian_coincide():
     post = _post([[1.0]], [1.0], 1.0, make_gaussian_prior(1.0, 1.0))
     chain = sample_gibbs(post, 30000, burn_in=300, seed=37)
     res = solve_map(post)
-    s = summarize(chain, post.prior)
+    s = summarize(chain)
     rep = theorem_ineq_check(chain, res.estimate, s.mean, None, post.prior)
     assert rep.passed
     # MAP = CM for Gaussian priors: margins vanish within noise
@@ -274,7 +300,7 @@ def test_theorem_inequalities_scalar_l1_vs_quadrature():
     post = _scalar_l1_posterior()
     res = solve_map(post)
     chain = sample_gibbs(post, 60000, burn_in=600, seed=41)
-    s = summarize(chain, post.prior)
+    s = summarize(chain)
     rep = theorem_ineq_check(chain, res.estimate, s.mean, None, post.prior)
     assert rep.passed
     prior = post.prior
@@ -295,7 +321,7 @@ def test_theorem_inequalities_multidim_l1():
     post = _post(k, f, 0.5, make_l1_prior(1.0))
     res = solve_map(post)
     chain = sample_gibbs(post, 30000, burn_in=600, seed=43)
-    s = summarize(chain, post.prior)
+    s = summarize(chain)
     l_mat = RNG.standard_normal((n, n)) + 2 * np.eye(n)
     rep = theorem_ineq_check(chain, res.estimate, s.mean, l_mat, post.prior)
     assert rep.passed
@@ -328,6 +354,31 @@ def test_centered_energy_gaussian_8dim():
     assert rep.spread <= 1e-8 * (1 + abs(rep.constant))
 
 
+def test_centered_energy_blocks_match_a_per_point_loop():
+    # 38 points: two blocks of 16 and a short one of 6; the blur maps a
+    # block row by row as it maps one vector, so every bit agrees
+    grid = grid2d(8, 8)
+    post = Posterior(gaussian_blur(grid, 0.1),
+                     Signal(grid, RNG.standard_normal(grid.size)),
+                     GaussianNoiseModel.from_sigma(0.3, grid.size),
+                     make_l1_prior(2.0), grid=grid)
+    res = solve_map(post)
+    rep = centered_energy_check(post, res, n_points=37, seed=9)
+    uhat, p_hat, prior = res.estimate, res.subgradient_cert, post.prior
+    rng = np.random.default_rng(9)
+    scale = 1.0 + np.abs(uhat).max()
+    deltas = []
+    for j in range(38):
+        u = uhat if j == 0 else uhat + scale * rng.standard_normal(grid.size)
+        centered = (0.5 * weighted_sq_norm(post.operator.apply(u - uhat),
+                                           post.noise)
+                    + prior.lam * prior.bregman(u, uhat, q=p_hat))
+        deltas.append(neg_log_posterior(post, u) - centered)
+    assert rep.n_points == 37
+    assert rep.spread == max(deltas) - min(deltas)
+    assert rep.constant == np.mean(deltas)
+
+
 def test_centered_energy_requires_certificate():
     post = _scalar_l1_posterior()
     res = solve_map(post)
@@ -353,6 +404,22 @@ def test_cm_optimality_scalar_and_multidim():
     chain = sample_gibbs(post, 30000, burn_in=500, seed=53)
     rep = cm_optimality_check(post, chain)
     assert rep.passed
+
+
+def test_cm_optimality_threshold_matches_one_null_block():
+    # the null maxima are drawn 50 rows at a time; the stream, and so the
+    # threshold, is that of one (400, n) block
+    n = 40
+    post = _post(np.eye(n), RNG.standard_normal(n), 0.7, make_l1_prior(0.8))
+    chain = sample_gibbs(post, 400, burn_in=50, seed=59)
+    rep = cm_optimality_check(post, chain)
+    stderr = batch_means_stderr(neg_log_posterior_gradient(post,
+                                                           chain.samples))
+    null = np.random.default_rng(20240817).standard_normal((400, n)) * stderr
+    null_max = np.abs(null).max(axis=1)
+    null_threshold = null_max.mean() + 3.0 * null_max.std(ddof=1)
+    assert null_threshold > 3.0 * stderr.max()  # the null sets the bound
+    assert rep.threshold == null_threshold
 
 
 # -- uniform-cost diagnostic -------------------------------------------------------
@@ -404,16 +471,12 @@ def test_uniform_cost_limit_diagnostic():
 # -- report plumbing ---------------------------------------------------------------
 
 
-def test_report_serialization(tmp_path):
+def test_report_serialization():
     post = _scalar_l1_posterior()
     res = solve_map(post)
     rep = centered_energy_check(post, res, n_points=10, seed=1)
     text = format_report_text(rep)
     assert "map_centered_energy" in text and "PASS" in text
-    path = tmp_path / "report.json"
-    report_to_json([rep], path)
-    import json
-
-    data = json.loads(path.read_text())
-    assert data[0]["check"] == "map_centered_energy"
-    assert data[0]["passed"] is True
+    data = json.loads(json.dumps(rep.to_dict()))
+    assert data["check"] == "map_centered_energy"
+    assert data["passed"] is True

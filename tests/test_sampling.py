@@ -303,7 +303,7 @@ def test_gibbs_scalar_gaussian_conjugate():
     # posterior of (f=1, K=1, sigma=1) with J = u^2/2: N(0.5, 0.5)
     post = _post([[1.0]], [1.0], 1.0, make_gaussian_prior(1.0, 1.0))
     chain = sample_gibbs(post, 20000, burn_in=200, seed=7)
-    s = summarize(chain, post.prior)
+    s = summarize(chain)
     assert abs(s.mean[0] - 0.5) <= 3 * s.stderr[0]
     assert chain.samples.var() == pytest.approx(0.5, rel=0.05)
 
@@ -316,9 +316,10 @@ def test_gibbs_scalar_l1_matches_quadrature_cm():
     p_cm = quad(lambda u: np.sign(u) * dens(u), -30, 30, points=[0],
                 limit=400)[0] / z
     chain = sample_gibbs(post, 60000, burn_in=600, seed=3)
-    s = summarize(chain, post.prior)
+    s = summarize(chain)
     assert abs(s.mean[0] - cm) <= 3 * s.stderr[0]
-    assert abs(s.subgradient_mean[0] - p_cm) <= 3 * s.subgradient_stderr[0]
+    q = post.prior.subgradient(chain.samples)
+    assert abs(q.mean(axis=0)[0] - p_cm) <= 3 * batch_means_stderr(q)[0]
 
 
 def test_gibbs_bit_reproducible():
@@ -341,7 +342,7 @@ def test_gibbs_multivariate_gaussian_closed_form():
     cov = np.linalg.inv(k.T @ k / sig**2 + beta * l_mat.T @ l_mat)
     mean_true = cov @ (k.T @ f / sig**2)
     chain = sample_gibbs(post, 20000, burn_in=500, seed=11)
-    s = summarize(chain, post.prior)
+    s = summarize(chain)
     assert np.all(np.abs(s.mean - mean_true) <= 3 * s.stderr)
     var_emp = chain.samples.var(axis=0)
     # marginal variances; batch-stderr logic does not apply, use 3 sigma of
@@ -442,7 +443,7 @@ def test_chromatic_l1_blocks_match_quadrature_cm():
         cm[j] = (x * dens).sum() / dens.sum()
         cm[j + 1] = (y * dens).sum() / dens.sum()
     chain = sample_gibbs(post, 10000, burn_in=200, seed=29)
-    s = summarize(chain, post.prior)
+    s = summarize(chain)
     assert np.all(np.abs(s.mean - cm) <= 3 * s.stderr)
 
 
@@ -546,7 +547,7 @@ def test_chromatic_tv_ends_match_quadrature_cm():
                    (t * w * ends[0] * ends[1]).sum(),
                    (w * ends[0] * ends_t[1]).sum()]) / z
     chain = sample_gibbs(post, 10000, burn_in=200, seed=43)
-    s = summarize(chain, post.prior)
+    s = summarize(chain)
     assert np.all(np.abs(s.mean - cm) <= 3 * s.stderr)
 
 
@@ -565,7 +566,7 @@ def test_chromatic_gaussian_identity_l_closed_form():
     cov = np.linalg.inv(kd.T @ kd / sigma**2 + beta * np.eye(n))
     mean_true = cov @ (kd.T @ f / sigma**2)
     chain = sample_gibbs(post, 10000, burn_in=200, seed=37)
-    s = summarize(chain, post.prior)
+    s = summarize(chain)
     assert np.all(np.abs(s.mean - mean_true) <= 3 * s.stderr)
     np.testing.assert_allclose(chain.samples.var(axis=0), np.diag(cov),
                                rtol=0.10)
@@ -578,7 +579,7 @@ def test_rwm_standard_normal_target():
     # E(u) = u^2/4 + u^2/4 = u^2/2: exactly N(0, 1)
     post = _post([[1.0]], [0.0], np.sqrt(2.0), make_gaussian_prior(1.0, 0.5))
     chain = sample_rwm(post, 60000, burn_in=500, step=2.4, seed=9)
-    s = summarize(chain, post.prior)
+    s = summarize(chain)
     assert abs(s.mean[0]) <= 3 * s.stderr[0]
     assert chain.samples.var() == pytest.approx(1.0, rel=0.05)
     assert 0.05 < chain.acceptance_rate < 0.95
@@ -589,7 +590,7 @@ def test_rwm_likelihood_dominated_mean():
     f = [1.3, -0.4, 0.8]
     post = _post(np.eye(3), f, 1.0, make_gaussian_prior(1.0, 1e-12))
     chain = sample_rwm(post, 40000, burn_in=500, step=2.4, seed=31)
-    s = summarize(chain, post.prior)
+    s = summarize(chain)
     assert np.all(np.abs(s.mean - np.array(f)) <= 3 * s.stderr)
 
 
@@ -615,8 +616,8 @@ def test_rwm_besov_agrees_with_transform_domain_gibbs():
     ch_c = sample_gibbs(post_c, 40000, burn_in=2000, seed=22)
     mu_u = ch_u.samples.mean(axis=0)
     mu_c = wd.T @ ch_c.samples.mean(axis=0)
-    s_u = summarize(ch_u, post_u.prior)
-    s_c = summarize(ch_c, post_c.prior)
+    s_u = summarize(ch_u)
+    s_c = summarize(ch_c)
     bound = 3 * (s_u.stderr + np.abs(wd.T) @ s_c.stderr)
     assert np.all(np.abs(mu_u - mu_c) <= bound)
 
@@ -755,37 +756,21 @@ def test_rwm_validation():
 def test_summarize_degenerate_chain():
     s = np.tile([1.0, -2.0], (40, 1))
     chain = Chain(s, seed=0, burn_in=0, thinning=1, method="gibbs")
-    summary = summarize(chain, make_l1_prior(1.0))
+    summary = summarize(chain)
     np.testing.assert_array_equal(summary.mean, [1.0, -2.0])
     np.testing.assert_array_equal(summary.stderr, [0.0, 0.0])
-    np.testing.assert_array_equal(summary.subgradient_mean, [1.0, -1.0])
-
-
-@pytest.mark.parametrize("rows", [480, 487])
-def test_summarize_subgradient_matches_the_full_block(rows):
-    # summarize evaluates the subgradient batch by batch; its statistics
-    # are those of the whole block, bit for bit, leftover rows included
-    grid = grid2d(16, 16)
-    prior = make_besov_prior(0.7, np.random.default_rng(1).uniform(
-        0.5, 2.0, grid.size), haar_transform(grid))
-    samples = np.random.default_rng(2).standard_normal((rows, grid.size))
-    summary = summarize(Chain(samples, seed=0, burn_in=0, thinning=1,
-                              method="rwm"), prior)
-    full = prior.subgradient(samples)
-    np.testing.assert_array_equal(summary.subgradient_mean, full.mean(axis=0))
-    np.testing.assert_array_equal(summary.subgradient_stderr,
-                                  batch_means_stderr(full))
-    np.testing.assert_array_equal(summary.mean, samples.mean(axis=0))
-    np.testing.assert_array_equal(summary.stderr, batch_means_stderr(samples))
+    q = make_l1_prior(1.0).subgradient(chain.samples)
+    np.testing.assert_array_equal(q.mean(axis=0), [1.0, -1.0])
+    np.testing.assert_array_equal(batch_means_stderr(q), [0.0, 0.0])
 
 
 def test_summarize_two_sample_mean():
     chain = Chain(np.array([[0.0], [2.0]]), seed=0, burn_in=0, thinning=1,
                   method="gibbs")
-    summary = summarize(chain, make_l1_prior(1.0), n_batches=2)
+    summary = summarize(chain, n_batches=2)
     np.testing.assert_array_equal(summary.mean, [1.0])
     with pytest.raises(ValueError):
-        summarize(chain, make_l1_prior(1.0))  # default 20 batches
+        summarize(chain)  # default 20 batches
 
 
 def test_batch_means_requires_enough_samples():
