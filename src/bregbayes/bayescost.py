@@ -1,10 +1,9 @@
 """Bayes cost functions and executable checks of the estimator theory.
 
-Three cost kinds, all evaluated by one block evaluator (``_CachedCost``):
+Two cost kinds, both evaluated by one block evaluator (``_CachedCost``):
 
     ls(u, uhat)      = ||K (uhat - u)||^2_P + beta ||L (uhat - u)||^2
     bregman(u, uhat) = ||K (uhat - u)||^2_P + 2 lam D_J(uhat, u)
-    uniform(u, uhat) = 0-1 loss, 0 when ||u - uhat||_inf <= delta
 
 The CM estimate minimizes the posterior expectation of the first, the MAP
 estimate of the second; the checks below probe these optimality claims by
@@ -34,13 +33,12 @@ from .sampling import Chain, batch_means_stderr
 class CostSpec:
     """Which cost to evaluate, with exactly the fields its kind demands."""
 
-    kind: str  # ls | bregman | uniform
+    kind: str  # ls | bregman
     operator: Optional[LinearOperator] = None
     noise: Optional[GaussianNoiseModel] = None
     l_matrix: Optional[np.ndarray] = field(default=None, repr=False)
     beta: float = 1.0
     prior: Optional[Prior] = None
-    delta: Optional[float] = None
 
     def __post_init__(self):
         if self.kind == "ls":
@@ -48,21 +46,13 @@ class CostSpec:
                 raise ValueError("beta must be nonnegative")
             if (self.operator is None) != (self.noise is None):
                 raise ValueError("operator and noise go together")
-            if self.prior is not None or self.delta is not None:
-                raise ValueError("ls cost takes no prior or delta")
+            if self.prior is not None:
+                raise ValueError("ls cost takes no prior")
         elif self.kind == "bregman":
             if self.prior is None:
                 raise ValueError("bregman cost needs a prior")
             if (self.operator is None) != (self.noise is None):
                 raise ValueError("operator and noise go together")
-            if self.delta is not None:
-                raise ValueError("bregman cost takes no delta")
-        elif self.kind == "uniform":
-            if self.delta is None or self.delta <= 0:
-                raise ValueError("uniform cost needs delta > 0")
-            if any(x is not None for x in (self.operator, self.noise,
-                                           self.l_matrix, self.prior)):
-                raise ValueError("uniform cost takes only delta")
         else:
             raise ValueError(f"unknown cost kind {self.kind!r}")
 
@@ -77,10 +67,6 @@ class CostSpec:
     def bregman(cls, prior: Prior, operator: Optional[LinearOperator] = None,
                 noise: Optional[GaussianNoiseModel] = None):
         return cls("bregman", operator=operator, noise=noise, prior=prior)
-
-    @classmethod
-    def uniform(cls, delta: float):
-        return cls("uniform", delta=delta)
 
     def evaluate(self, u, uhat) -> float:
         """The cost of estimating u by uhat (the Bregman subgradient is
@@ -111,9 +97,6 @@ class _CachedCost:
 
     def costs_at(self, c: np.ndarray) -> np.ndarray:
         spec = self.spec
-        if spec.kind == "uniform":
-            return (np.abs(self.samples - c).max(axis=1)
-                    > spec.delta).astype(float)
         out = np.zeros(self.samples.shape[0])
         if self.k_samples is not None:
             dk = self.k_samples - spec.operator.apply(c)

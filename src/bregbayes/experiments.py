@@ -22,7 +22,7 @@ import os
 import pickle
 import signal
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NoReturn, Optional
 
 import numpy as np
@@ -43,11 +43,20 @@ from .sampling import (Chain, ChainSummary, gibbs_layout, rwm_layout,
 
 _log = logging.getLogger(__name__)
 
-SCENARIOS = ("deblur2d", "tv1d", "ct2d")
-# the prior each scenario is built with
-SCENARIO_PRIORS = {"deblur2d": "l1", "tv1d": "tv1d", "ct2d": "besov"}
-# the reconstruction grid of each scenario when the config sets none
-_DEFAULT_SHAPES = {"deblur2d": (64, 64), "tv1d": (63,), "ct2d": (64, 64)}
+# each scenario's run defaults, which ScenarioConfig fills into the fields
+# left None (lam only under the fixed rule); a scenario without a step
+# samples by Gibbs
+_SCENARIO_DEFAULTS = {
+    "deblur2d": {"recon_shape": (64, 64), "noise_fraction": 0.1, "lam": 6.0,
+                 "lambda_rule": "fixed", "s_curve_bracket": (1e-3, 1e2)},
+    "tv1d": {"recon_shape": (63,), "noise_fraction": 0.1, "lam": 2.0,
+             "lambda_rule": "fixed", "s_curve_bracket": (1e-3, 1e2)},
+    "ct2d": {"recon_shape": (64, 64), "noise_fraction": 0.01, "lam": None,
+             "lambda_rule": "s_curve", "s_curve_bracket": (0.5, 5000.0),
+             "rwm_step": 2.4},
+}
+SCENARIOS = tuple(_SCENARIO_DEFAULTS)
+SCENARIO_SOLVER = SolverOptions(max_iters=3000, tol_residual=1e-4)
 
 
 class Refused(ValueError):
@@ -64,23 +73,22 @@ class ScenarioConfig:
 
     name: str
     seed: int = 0
-    recon_shape: Optional[tuple[int, ...]] = None  # None: scenario default
+    recon_shape: Optional[tuple[int, ...]] = None  # scenario default
     truth_factor: int = 4
-    noise_fraction: float = 0.1
-    # prior / lambda rule
-    prior_kind: Optional[str] = None  # None: the scenario's prior
-    lam: Optional[float] = None
-    lambda_rule: str = "fixed"  # fixed | sqrt_n | s_curve
+    noise_fraction: Optional[float] = None  # scenario default
+    # lambda rule
+    lam: Optional[float] = None  # scenario default under the fixed rule
+    lambda_rule: Optional[str] = None  # scenario default; fixed | sqrt_n | s_curve
     rule_constant: float = 1.0
     s_curve_target: Optional[float] = None  # None: truth coefficient sparsity
-    s_curve_bracket: tuple[float, float] = (1e-3, 1e2)
+    s_curve_bracket: Optional[tuple[float, float]] = None  # scenario default
     s_curve_tol: float = 0.02
     # solver / sampler
-    solver: SolverOptions = field(default_factory=SolverOptions)
+    solver: SolverOptions = SCENARIO_SOLVER
     n_samples: int = 600
     burn_in: Optional[int] = None  # None: 10% of n_samples
     thinning: int = 1
-    rwm_step: float = 2.4
+    rwm_step: Optional[float] = None  # scenario default; RWM only
     n_chains: int = 2
     # scenario specifics
     spots: int = 14
@@ -97,21 +105,31 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.name not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.name!r}")
-        prior = SCENARIO_PRIORS[self.name]
-        if self.prior_kind is None:
-            object.__setattr__(self, "prior_kind", prior)
-        elif self.prior_kind != prior:
-            raise ValueError(f"[prior] kind = {self.prior_kind!r}: scenario "
-                             f"{self.name} is built with the {prior} prior")
-        shape = tuple(_DEFAULT_SHAPES[self.name] if self.recon_shape is None
-                      else self.recon_shape)
+        defaults = _SCENARIO_DEFAULTS[self.name]
+        if self.rwm_step is not None and "rwm_step" not in defaults:
+            raise ValueError(f"[sampler] step: {self.name} samples by Gibbs, "
+                             f"which takes no step")
+        for key, value in defaults.items():
+            if getattr(self, key) is None and key != "lam":
+                object.__setattr__(self, key, value)
+        if self.lambda_rule not in ("fixed", "sqrt_n", "s_curve"):
+            raise ValueError(f"unknown lambda rule {self.lambda_rule!r}")
+        if self.lambda_rule == "fixed" and self.lam is None:
+            object.__setattr__(self, "lam", defaults["lam"])
+        # the dilemma sweep reads tv1d's lam under every rule
+        if (self.lam is not None and self.lambda_rule != "fixed"
+                and self.name != "tv1d"):
+            raise ValueError(f"[prior] lambda: {self.name} reads it only "
+                             f"under the fixed rule, not {self.lambda_rule}")
+        shape = tuple(self.recon_shape)
         object.__setattr__(self, "recon_shape", shape)
-        if (len(shape) != len(_DEFAULT_SHAPES[self.name])
+        if (len(shape) != len(defaults["recon_shape"])
                 or len(set(shape)) != 1 or min(shape) < 1):
             raise ValueError(f"[grid] shape = {' '.join(map(str, shape))}: "
                              f"{self.name} needs one side, or two equal ones")
         if (self.n_samples < 1 or self.thinning < 1 or self.n_chains < 2
-                or (self.burn_in or 0) < 0 or self.rwm_step <= 0):
+                or (self.burn_in or 0) < 0
+                or (self.rwm_step is not None and self.rwm_step <= 0)):
             raise ValueError(f"[sampler] needs samples, thinning >= 1, "
                              f"chains >= 2 (two chains are compared), "
                              f"burn_in >= 0, step > 0; got {self.n_samples}, "
@@ -121,8 +139,6 @@ class ScenarioConfig:
             raise ValueError("noise fraction must be positive")
         if self.truth_factor < 1 or int(self.truth_factor) != self.truth_factor:
             raise ValueError("truth grid factor must be a positive integer")
-        if self.lambda_rule not in ("fixed", "sqrt_n", "s_curve"):
-            raise ValueError(f"unknown lambda rule {self.lambda_rule!r}")
         if self.lambda_rule == "fixed" and self.lam is None:
             raise ValueError("fixed lambda rule needs a lambda value")
 

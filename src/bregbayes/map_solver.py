@@ -365,12 +365,12 @@ def _residual_norm(post: Posterior, estimate: np.ndarray) -> float:
     if prior.kind == "gaussian":
         grad = _model.data_misfit_gradient(post, estimate)
         return float(np.abs(grad + lam * prior.subgradient(estimate)).max())
-    if prior.kind == "l1":
-        return _box_violation(p_hat, estimate, np.ones_like(estimate))
-    if prior.kind == "besov":
-        # W orthonormal: p_hat = W^T eta gives eta = W p_hat
-        w = prior.transform
-        return _box_violation(w.apply(p_hat), w.apply(estimate), prior.weights)
+    if prior.kind in ("l1", "besov"):
+        # Phi = I or W, orthonormal: p_hat = Phi^T eta gives eta = Phi p_hat
+        phi, weights = _split_structure(prior, estimate.size)
+        if phi is not None:
+            p_hat, estimate = phi.apply(p_hat), phi.apply(estimate)
+        return _box_violation(p_hat, estimate, weights)
     if prior.kind == "tv1d":
         # p_hat = D^T eta determines eta by cumulative sums and forces
         # the components of p_hat to sum to zero

@@ -48,9 +48,6 @@ def _per_sample_costs(spec, samples, c, k=None, sigma=1.0):
     costs = []
     for u in samples:
         d = c - u
-        if spec.kind == "uniform":
-            costs.append(float(np.abs(d).max() > spec.delta))
-            continue
         out = 0.0 if k is None else float((k @ d) @ (k @ d)) / sigma**2
         if spec.kind == "ls":
             ld = d if spec.l_matrix is None else spec.l_matrix @ d
@@ -98,15 +95,6 @@ def test_cost_bregman_gaussian_reduces_to_ls():
         assert b == pytest.approx(l, rel=1e-12, abs=1e-12)
 
 
-def test_cost_uniform_boundary():
-    spec = CostSpec.uniform(0.5)
-    assert spec.evaluate([1.0], [1.0]) == 0.0
-    assert spec.evaluate([0.0, 0.0], [0.5, -0.5]) == 0.0  # boundary in
-    assert spec.evaluate([0.0], [1.0]) == 1.0
-    with pytest.raises(ValueError):
-        CostSpec.uniform(0.0)
-
-
 def test_costs_convex_in_uhat():
     prior = make_l1_prior(0.8)
     k = from_matrix(RNG.standard_normal((3, 4)))
@@ -149,12 +137,9 @@ def test_cost_spec_field_validation():
         CostSpec("ls", prior=prior)
     with pytest.raises(ValueError):
         CostSpec("bregman")
-    with pytest.raises(ValueError):
-        CostSpec("uniform", delta=0.1, prior=prior)
-    with pytest.raises(ValueError, match="unknown cost kind"):
-        CostSpec("mse")
-    with pytest.raises(ValueError):
-        CostSpec("uniform")
+    for kind in ("mse", "uniform"):
+        with pytest.raises(ValueError, match="unknown cost kind"):
+            CostSpec(kind)
     with pytest.raises(ValueError):
         CostSpec("nonsense")
 
@@ -193,7 +178,7 @@ def test_mc_bayes_cost_matches_quadrature():
 def test_cached_cost_matches_direct_evaluation():
     post = _scalar_l1_posterior()
     chain = sample_gibbs(post, 500, burn_in=50, seed=19)
-    specs = [CostSpec.ls(), CostSpec.uniform(0.4),
+    specs = [CostSpec.ls(),
              CostSpec.ls(post.operator, post.noise, beta=0.3),
              CostSpec.bregman(post.prior, post.operator, post.noise)]
     c = np.array([0.7])
@@ -212,7 +197,7 @@ def test_mc_bayes_cost_mean_matches_per_sample_evaluation():
     k = rng.standard_normal((4, 3)) + np.eye(4, 3)
     post = _post(k, rng.standard_normal(4), 0.8, make_l1_prior(0.9))
     chain = sample_gibbs(post, 400, burn_in=40, seed=37)
-    specs = [CostSpec.ls(), CostSpec.uniform(0.6),
+    specs = [CostSpec.ls(),
              CostSpec.ls(post.operator, post.noise,
                          rng.standard_normal((2, 3)), beta=0.3),
              CostSpec.bregman(post.prior, post.operator, post.noise)]
@@ -224,8 +209,6 @@ def test_mc_bayes_cost_mean_matches_per_sample_evaluation():
         assert rep.estimate_cost == pytest.approx(direct.mean(), rel=1e-12,
                                                   abs=1e-12), spec.kind
         assert rep.n_samples == len(chain)
-    uniform = _per_sample_costs(specs[1], chain.samples, uhat)
-    assert 0.0 < uniform.mean() < 1.0  # both outcomes occur
 
 
 # -- optimality probing ----------------------------------------------------------

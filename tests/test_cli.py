@@ -90,7 +90,6 @@ def test_config_defaults_and_overrides():
     assert cfg.spot_radius_range == (0.08, 0.12)
     assert cfg.n_chains == 2
     # scenario defaults fill untouched fields
-    assert cfg.prior_kind == "l1"
     assert cfg.lambda_rule == "fixed"
 
 
@@ -101,6 +100,11 @@ def test_config_rejects_unknown_keys():
         parse_config_text("[bogus]\nx = 1\n[scenario]\nname = tv1d\n")
     with pytest.raises(ValueError):
         parse_config_text("[scenario]\nname = warp\n")
+    # each scenario fixes its prior, so the prior is not a config key
+    with pytest.raises(ValueError, match=r"unknown key 'kind' in section "
+                                         r"\[prior\]"):
+        parse_config_text(TINY_DEBLUR.replace("[prior]\n",
+                                              "[prior]\nkind = l1\n"))
     # the stall-stop and CG-cap knobs are gone: the KKT residual is the
     # one stopping rule
     for key in ("tol_rel_change", "tol_split_gap", "cg_max_iters"):
@@ -120,21 +124,15 @@ def test_config_hash_is_stable(tmp_path):
 def test_ct_config_defaults():
     cfg = parse_config_text("[scenario]\nname = ct2d\n")
     assert cfg.lambda_rule == "s_curve"
-    assert cfg.prior_kind == "besov"
     assert cfg.noise_fraction == 0.01
     assert cfg.angles == 15 and cfg.bins == 95
 
 
-@pytest.mark.parametrize("name, kind", [("deblur2d", "l1"), ("tv1d", "tv1d"),
-                                        ("ct2d", "besov")])
-def test_config_prior_kind_must_name_the_scenario_prior(name, kind):
-    head = f"[scenario]\nname = {name}\n[prior]\nkind = "
-    assert parse_config_text(head + kind + "\n").prior_kind == kind
-    for other in {"gaussian", "l1", "tv1d", "besov"} - {kind}:
-        with pytest.raises(ValueError, match=r"\[prior\] kind"):
-            parse_config_text(head + other + "\n")
-    with pytest.raises(ValueError, match=r"\[prior\] kind"):
-        experiments.ScenarioConfig(name=name, lam=1.0, prior_kind="gaussian")
+@pytest.mark.parametrize("name", experiments.SCENARIOS)
+def test_config_file_and_library_share_the_scenario_defaults(name):
+    # a key a file leaves out takes ScenarioConfig's default
+    assert experiments.ScenarioConfig(name=name) == \
+        parse_config_text(f"[scenario]\nname = {name}\n")
 
 
 def test_config_shape_defaults_per_scenario():
@@ -142,8 +140,7 @@ def test_config_shape_defaults_per_scenario():
                         ("ct2d", (64, 64))):
         cfg = parse_config_text(f"[scenario]\nname = {name}\n")
         assert cfg.recon_shape == shape
-        assert experiments.ScenarioConfig(name=name, lam=1.0).recon_shape \
-            == shape
+        assert experiments.ScenarioConfig(name=name).recon_shape == shape
 
 
 @pytest.mark.parametrize("old, new, match", [
@@ -193,6 +190,29 @@ def test_config_step_is_an_rwm_knob():
     assert parse_config_text(head + "[sampler]\nstep = 1.5\n").rwm_step == 1.5
     with pytest.raises(ValueError, match=r"\[sampler\]"):
         parse_config_text(head + "[sampler]\nstep = 0\n")
+    # the Gibbs scenarios take no step, from a file or from the library
+    for name in ("deblur2d", "tv1d"):
+        assert experiments.ScenarioConfig(name=name).rwm_step is None
+        with pytest.raises(ValueError, match=r"\[sampler\] step"):
+            experiments.ScenarioConfig(name=name, rwm_step=1.0)
+
+
+@pytest.mark.parametrize("name", experiments.SCENARIOS)
+def test_config_rejects_lambda_under_a_rule_that_ignores_it(name):
+    # only the fixed rule reads deblur2d's and ct2d's lambda; the dilemma
+    # sweep's fixed rule reads tv1d's whatever the config's rule
+    head = f"[scenario]\nname = {name}\n[prior]\nlambda = 1.5\n"
+    assert parse_config_text(head + "rule = fixed\n").lam == 1.5
+    for rule in ("sqrt_n", "s_curve"):
+        if name == "tv1d":
+            assert parse_config_text(head + f"rule = {rule}\n").lam == 1.5
+            continue
+        with pytest.raises(ValueError, match=r"\[prior\] lambda"):
+            parse_config_text(head + f"rule = {rule}\n")
+        with pytest.raises(ValueError, match=r"\[prior\] lambda"):
+            experiments.ScenarioConfig(name=name, lam=1.5, lambda_rule=rule)
+        assert experiments.ScenarioConfig(name=name, lambda_rule=rule).lam \
+            is None
 
 
 def test_config_rejects_prior_beta():

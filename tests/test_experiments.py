@@ -262,7 +262,8 @@ def test_scenario_builders_shapes():
     assert parts.forward_fine.in_dim == 2 * 31
 
     cfg = ScenarioConfig(name="ct2d", recon_shape=(16, 16), truth_factor=2,
-                         lam=1.0, angles=5, bins=23, seed=1)
+                         lam=1.0, lambda_rule="fixed", angles=5, bins=23,
+                         seed=1)
     parts = build_ct2d(cfg)
     assert parts.data_grid.shape == (5, 23)
     assert parts.sampler_method == "rwm"
