@@ -7,7 +7,7 @@ distance Bayes-cost checks that compare the two.
 
 from .bayescost import (CostReport, CostSpec, centered_energy_check,
                         cm_optimality_check, mc_bayes_cost, theorem_ineq_check,
-                        uniform_cost_map_limit, verify_bayes_optimality)
+                        verify_bayes_optimality)
 from .grids import (Grid, Signal, grid1d, grid2d, load_signal_csv,
                     save_signal_csv, save_signal_pgm)
 from .map_solver import (MapResult, SolverOptions, optimality_residual,

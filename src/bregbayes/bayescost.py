@@ -10,13 +10,15 @@ estimate of the second; the checks below probe these optimality claims by
 Monte Carlo with common random numbers, verify the two expected-error
 inequalities between the estimates, certify the MAP-centered rewriting of
 the posterior energy, and test the averaged optimality condition of the
-CM estimate.
+CM estimate. Every stderr is a batch-means stderr over 20 batches, and
+every check report is a ``CheckReport``: its ``to_dict`` is
+the check's name followed by its fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -112,29 +114,43 @@ class _CachedCost:
         return out + 2.0 * prior.lam * breg
 
 
+class CheckReport:
+    """A check's result; its JSON form is the check's name, then its fields."""
+
+    check: ClassVar[str]
+
+    def to_dict(self) -> dict:
+        return {"check": self.check, **asdict(self)}
+
+
+# batches of the batch-means stderr in every check
+_N_BATCHES = 20
+
+
+def _require_batches(chain: Chain) -> None:
+    if len(chain) < _N_BATCHES:
+        raise ValueError("chain too short for batch means")
+
+
 @dataclass(frozen=True)
 class CostReport:
     estimate_cost: float
     stderr: float
     n_samples: int
 
-    def to_dict(self):
-        return asdict(self)
 
-
-def _cost_report(costs: np.ndarray, n_batches: int) -> CostReport:
+def _cost_report(costs: np.ndarray) -> CostReport:
     """Mean of per-sample costs (or cost differences), with its batch-means
     stderr; NaN stderr when there are fewer samples than batches."""
-    stderr = (float(batch_means_stderr(costs[:, None], n_batches)[0])
-              if costs.size >= n_batches else float("nan"))
+    stderr = (float(batch_means_stderr(costs[:, None], _N_BATCHES)[0])
+              if costs.size >= _N_BATCHES else float("nan"))
     return CostReport(float(costs.mean()), stderr, costs.size)
 
 
-def mc_bayes_cost(chain: Chain, uhat, spec: CostSpec,
-                  n_batches: int = 20) -> CostReport:
+def mc_bayes_cost(chain: Chain, uhat, spec: CostSpec) -> CostReport:
     """Posterior-expected cost at uhat by Monte Carlo over the chain."""
     costs = _CachedCost(chain.samples, spec).costs_at(as_vector(uhat))
-    return _cost_report(costs, n_batches)
+    return _cost_report(costs)
 
 
 # ---------------------------------------------------------------------------
@@ -149,23 +165,15 @@ class ProbeResult:
     stderr: float
     beaten: bool  # perturbation significantly cheaper
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass(frozen=True)
-class OptimalityReport:
+class OptimalityReport(CheckReport):
+    check: ClassVar[str] = "bayes_optimality"
     cost_kind: str
     candidate_cost: CostReport
     probes: list[ProbeResult]
     n_beaten: int
     passed: bool
-
-    def to_dict(self):
-        return {"check": "bayes_optimality", "cost_kind": self.cost_kind,
-                "candidate_cost": self.candidate_cost.to_dict(),
-                "probes": [p.to_dict() for p in self.probes],
-                "n_beaten": self.n_beaten, "passed": self.passed}
 
 
 _PROBE_SCALES = (0.1, 0.5, 1.0)
@@ -173,17 +181,16 @@ _PROBE_SCALES = (0.1, 0.5, 1.0)
 
 def verify_bayes_optimality(chain: Chain, candidate, spec: CostSpec,
                             n_probes: int = 50, probe_scale: float = 1.0,
-                            seed: int = 0, n_batches: int = 20) -> OptimalityReport:
+                            seed: int = 0) -> OptimalityReport:
     """Probe whether any nearby point beats the candidate's Bayes cost.
 
     Perturbations are random directions at scales {0.1, 0.5, 1.0} times
     ``probe_scale`` (cycled). Costs are paired over the same chain, so a
     probe flags the candidate only when the cost drop clears 3 stderr of
     the paired difference. Deterministic per-probe seeds. A chain shorter
-    than ``n_batches`` has no stderr, so it is refused.
+    than ``_N_BATCHES`` has no stderr, so it is refused.
     """
-    if len(chain) < n_batches:
-        raise ValueError("chain too short for batch means")
+    _require_batches(chain)
     candidate = as_vector(candidate)
     cache = _CachedCost(chain.samples, spec)
     base = cache.costs_at(candidate)
@@ -195,12 +202,12 @@ def verify_bayes_optimality(chain: Chain, candidate, spec: CostSpec,
         direction = rng.standard_normal(candidate.size)
         direction /= max(np.linalg.norm(direction), 1e-300)
         diff = _cost_report(cache.costs_at(candidate + scale * direction)
-                            - base, n_batches)
+                            - base)
         beaten = diff.estimate_cost < -3.0 * diff.stderr
         n_beaten += int(beaten)
         probes.append(ProbeResult(scale, diff.estimate_cost, diff.stderr,
                                   beaten))
-    return OptimalityReport(spec.kind, _cost_report(base, n_batches),
+    return OptimalityReport(spec.kind, _cost_report(base),
                             probes, n_beaten, n_beaten == 0)
 
 
@@ -210,7 +217,8 @@ def verify_bayes_optimality(chain: Chain, candidate, spec: CostSpec,
 
 
 @dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(CheckReport):
+    check: ClassVar[str] = "map_cm_inequalities"
     quadratic_margin: float  # E||L(map-u)||^2 - E||L(cm-u)||^2, >= 0 expected
     quadratic_stderr: float
     quadratic_passed: bool
@@ -219,15 +227,10 @@ class InequalityReport:
     bregman_passed: bool
     passed: bool
 
-    def to_dict(self):
-        d = asdict(self)
-        d["check"] = "map_cm_inequalities"
-        return d
-
 
 def theorem_ineq_check(chain: Chain, map_est, cm_est,
-                       l_matrix: Optional[np.ndarray], prior: Prior,
-                       n_batches: int = 20) -> InequalityReport:
+                       l_matrix: Optional[np.ndarray],
+                       prior: Prior) -> InequalityReport:
     """Paired Monte Carlo test of the two expected-error inequalities.
 
     The CM estimate must win in the quadratic metric ||L (. - u)||^2 and
@@ -235,15 +238,14 @@ def theorem_ineq_check(chain: Chain, map_est, cm_est,
     clear -3 stderr. Both margins are costs of the one evaluator: the
     Bregman cost without output term is 2 lam D_J.
     """
-    if len(chain) < n_batches:
-        raise ValueError("chain too short for batch means")
+    _require_batches(chain)
     map_est = as_vector(map_est)
     cm_est = as_vector(cm_est)
     quad = _CachedCost(chain.samples, CostSpec.ls(l_matrix=l_matrix))
     breg = _CachedCost(chain.samples, CostSpec.bregman(prior))
-    g = _cost_report(quad.costs_at(map_est) - quad.costs_at(cm_est), n_batches)
+    g = _cost_report(quad.costs_at(map_est) - quad.costs_at(cm_est))
     h = _cost_report((breg.costs_at(cm_est) - breg.costs_at(map_est))
-                     / (2.0 * prior.lam), n_batches)
+                     / (2.0 * prior.lam))
     g_ok = g.estimate_cost >= -3.0 * g.stderr
     h_ok = h.estimate_cost >= -3.0 * h.stderr
     return InequalityReport(g.estimate_cost, g.stderr, g_ok, h.estimate_cost,
@@ -256,17 +258,13 @@ def theorem_ineq_check(chain: Chain, map_est, cm_est,
 
 
 @dataclass(frozen=True)
-class CenteredEnergyReport:
+class CenteredEnergyReport(CheckReport):
+    check: ClassVar[str] = "map_centered_energy"
     spread: float
     tolerance: float
     constant: float  # the common value of Delta(u)
     n_points: int
     passed: bool
-
-    def to_dict(self):
-        d = asdict(self)
-        d["check"] = "map_centered_energy"
-        return d
 
 
 # points per block: one block of all 101 points raised the deblur peak RSS
@@ -315,20 +313,15 @@ def centered_energy_check(post: Posterior, map_result: MapResult,
 
 
 @dataclass(frozen=True)
-class CmOptimalityReport:
+class CmOptimalityReport(CheckReport):
+    check: ClassVar[str] = "cm_average_optimality"
     sup_residual: float
     threshold: float
     max_stderr: float
     passed: bool
 
-    def to_dict(self):
-        d = asdict(self)
-        d["check"] = "cm_average_optimality"
-        return d
 
-
-def cm_optimality_check(post: Posterior, chain: Chain,
-                        n_batches: int = 20) -> CmOptimalityReport:
+def cm_optimality_check(post: Posterior, chain: Chain) -> CmOptimalityReport:
     """Check ||K^T P (K u_cm - f) + lam p_cm||_inf against its Monte Carlo noise.
 
     The residual equals the chain mean of the posterior energy gradient, so
@@ -336,11 +329,10 @@ def cm_optimality_check(post: Posterior, chain: Chain,
     simulating the null maximum of |N(0, stderr_j)|; the threshold is
     null_mean + 3 null_sd, never tighter than 3 max_j stderr_j.
     """
-    if len(chain) < n_batches:
-        raise ValueError("chain too short for batch means")
+    _require_batches(chain)
     grads = _model.neg_log_posterior_gradient(post, chain.samples)
     residual = grads.mean(axis=0)
-    stderr = batch_means_stderr(grads, n_batches)
+    stderr = batch_means_stderr(grads, _N_BATCHES)
     sup = float(np.abs(residual).max())
     rng = np.random.default_rng(20240817)
     # 400 null draws from one stream, 50 rows at a time: no (400, n) block
@@ -355,58 +347,10 @@ def cm_optimality_check(post: Posterior, chain: Chain,
                               sup <= threshold)
 
 
-# ---------------------------------------------------------------------------
-# uniform-cost asymptotics (diagnostic only)
-# ---------------------------------------------------------------------------
-
-
-def uniform_cost_map_limit(post: Posterior, center, half_width: float = 2.0,
-                           lattice: int = 41,
-                           deltas=(0.5, 0.2, 0.1)) -> dict:
-    """Brute-force the uniform-cost Bayes estimator on a 2D lattice.
-
-    Returns, per delta, the sup-distance of the expected-0-1-loss
-    minimizer from the lattice density maximizer. Diagnostic output for
-    the delta -> 0 story; nothing is asserted here.
-    """
-    if post.dim != 2:
-        raise ValueError("diagnostic runs on 2-dimensional posteriors only")
-    center = as_vector(center)
-    xs = np.linspace(center[0] - half_width, center[0] + half_width, lattice)
-    ys = np.linspace(center[1] - half_width, center[1] + half_width, lattice)
-    points = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
-    energy = _model.neg_log_posterior(post, points.reshape(-1, 2))
-    w = np.exp(-(energy - energy.min()))
-    w = w.reshape(lattice, lattice) / w.sum()
-    imax, jmax = np.unravel_index(np.argmax(w), w.shape)
-    density_max = np.array([xs[imax], ys[jmax]])
-    step = xs[1] - xs[0]
-    out = {"density_maximizer": density_max.tolist(), "deltas": []}
-    cum = np.zeros((lattice + 1, lattice + 1))
-    cum[1:, 1:] = w.cumsum(axis=0).cumsum(axis=1)
-    index = np.arange(lattice)
-    for delta in deltas:
-        r = int(np.floor(delta / step + 1e-12))
-        # expected uniform cost at lattice point = 1 - windowed mass; the
-        # first minimizer in row-major order
-        lo = np.maximum(index - r, 0)
-        hi = np.minimum(index + r + 1, lattice)
-        mass = (cum[hi[:, None], hi] - cum[lo[:, None], hi]
-                - cum[hi[:, None], lo] + cum[lo[:, None], lo])
-        best = np.unravel_index(np.argmin(1.0 - mass), mass.shape)
-        minimizer = np.array([xs[best[0]], ys[best[1]]])
-        out["deltas"].append({
-            "delta": delta,
-            "minimizer": minimizer.tolist(),
-            "sup_distance_to_max": float(np.abs(minimizer - density_max).max()),
-        })
-    return out
-
-
 def format_report_text(report) -> str:
     """One human-readable line per check."""
-    d = report.to_dict() if hasattr(report, "to_dict") else dict(report)
-    name = d.pop("check", type(report).__name__)
+    d = report.to_dict()
+    name = d.pop("check")
     passed = d.pop("passed", None)
     status = "" if passed is None else ("PASS" if passed else "FAIL")
     body = ", ".join(f"{k}={_fmt(v)}" for k, v in d.items()

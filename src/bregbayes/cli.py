@@ -204,7 +204,7 @@ def _cmd_verify(cfg, writer) -> int:
     for report in record.reports:
         line = format_report_text(report)
         print(line)
-        failures += int(not report.to_dict().get("passed", True))
+        failures += int(not report.passed)
     return 1 if failures else 0
 
 

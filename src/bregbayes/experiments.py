@@ -23,12 +23,13 @@ import pickle
 import signal
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, NoReturn, Optional
+from typing import Callable, ClassVar, NoReturn, Optional
 
 import numpy as np
 
-from .bayescost import (CostSpec, centered_energy_check, cm_optimality_check,
-                        theorem_ineq_check, verify_bayes_optimality)
+from .bayescost import (CheckReport, CostSpec, centered_energy_check,
+                        cm_optimality_check, theorem_ineq_check,
+                        verify_bayes_optimality)
 from .grids import Grid, Signal, grid1d, grid2d
 from .map_solver import MapResult, SolverOptions, solve_map
 from .model import GaussianNoiseModel, Posterior, weighted_sq_norm
@@ -44,8 +45,8 @@ from .sampling import (Chain, ChainSummary, gibbs_layout, rwm_layout,
 _log = logging.getLogger(__name__)
 
 # each scenario's run defaults, which ScenarioConfig fills into the fields
-# left None (lam only under the fixed rule); a scenario without a step
-# samples by Gibbs
+# left None (lam under the fixed rule, and tv1d's under every rule); a
+# scenario without a step samples by Gibbs
 _SCENARIO_DEFAULTS = {
     "deblur2d": {"recon_shape": (64, 64), "noise_fraction": 0.1, "lam": 6.0,
                  "lambda_rule": "fixed", "s_curve_bracket": (1e-3, 1e2)},
@@ -114,9 +115,10 @@ class ScenarioConfig:
                 object.__setattr__(self, key, value)
         if self.lambda_rule not in ("fixed", "sqrt_n", "s_curve"):
             raise ValueError(f"unknown lambda rule {self.lambda_rule!r}")
-        if self.lambda_rule == "fixed" and self.lam is None:
-            object.__setattr__(self, "lam", defaults["lam"])
         # the dilemma sweep reads tv1d's lam under every rule
+        if self.lam is None and (self.lambda_rule == "fixed"
+                                 or self.name == "tv1d"):
+            object.__setattr__(self, "lam", defaults["lam"])
         if (self.lam is not None and self.lambda_rule != "fixed"
                 and self.name != "tv1d"):
             raise ValueError(f"[prior] lambda: {self.name} reads it only "
@@ -747,13 +749,10 @@ class DilemmaLevel:
 
 
 @dataclass(frozen=True)
-class DilemmaReport:
+class DilemmaReport(CheckReport):
+    check: ClassVar[str] = "tv_dilemma"
     rule: str  # sqrt_n | fixed
     levels: list[DilemmaLevel]
-
-    def to_dict(self):
-        return {"check": "tv_dilemma", "rule": self.rule,
-                "levels": [level.__dict__ for level in self.levels]}
 
 
 def run_dilemma_sweep(cfg: ScenarioConfig, rule: str,

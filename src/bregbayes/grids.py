@@ -1,4 +1,5 @@
-"""Grids, signals, and signal serialization (CSV / PGM)."""
+"""Grids on the unit interval / unit square, signals, and signal
+serialization (CSV / PGM)."""
 
 from __future__ import annotations
 
@@ -12,12 +13,11 @@ import numpy as np
 class Grid:
     """Regular grid on the unit interval / unit square.
 
-    ``shape`` is ``(n,)`` for 1D or ``(rows, cols)`` for 2D. Physical
-    extents default to 1.0 per axis; pixel i sits at its cell center.
+    ``shape`` is ``(n,)`` for 1D or ``(rows, cols)`` for 2D; every axis has
+    length 1 and pixel i sits at its cell center.
     """
 
     shape: tuple[int, ...]
-    extent: tuple[float, ...] = None  # type: ignore[assignment]
 
     def __post_init__(self):
         shape = tuple(int(s) for s in self.shape)
@@ -25,16 +25,7 @@ class Grid:
             raise ValueError(f"grid must be 1D or 2D, got shape {shape}")
         if any(s <= 0 for s in shape):
             raise ValueError(f"grid shape must be positive, got {shape}")
-        extent = self.extent
-        if extent is None:
-            extent = (1.0,) * len(shape)
-        extent = tuple(float(e) for e in extent)
-        if len(extent) != len(shape):
-            raise ValueError("extent must match grid dimension")
-        if any(e <= 0 for e in extent):
-            raise ValueError(f"extents must be positive, got {extent}")
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "extent", extent)
 
     @property
     def dim(self) -> int:
@@ -45,23 +36,20 @@ class Grid:
         return int(np.prod(self.shape))
 
     def cell_widths(self) -> tuple[float, ...]:
-        return tuple(e / s for e, s in zip(self.extent, self.shape))
+        return tuple(1.0 / s for s in self.shape)
 
     def cell_centers(self, axis: int = 0) -> np.ndarray:
-        """Physical coordinates of cell centers along one axis."""
+        """Coordinates in [0, 1] of the cell centers along one axis."""
         n = self.shape[axis]
-        h = self.extent[axis] / n
-        return (np.arange(n) + 0.5) * h
+        return (np.arange(n) + 0.5) * (1.0 / n)
 
 
-def grid1d(n: int, extent: float = 1.0) -> Grid:
-    return Grid((n,), (extent,))
+def grid1d(n: int) -> Grid:
+    return Grid((n,))
 
 
-def grid2d(rows: int, cols: int | None = None, extent: float = 1.0) -> Grid:
-    if cols is None:
-        cols = rows
-    return Grid((rows, cols), (extent, extent))
+def grid2d(rows: int, cols: int | None = None) -> Grid:
+    return Grid((rows, rows if cols is None else cols))
 
 
 @dataclass(frozen=True)

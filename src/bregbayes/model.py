@@ -1,5 +1,8 @@
 """Noise model, posterior assembly, and the precision-weighted norm.
 
+The noise model stores only its diagonal precision P; ``from_sigma`` sets
+P = sigma^-2 I.
+
 The negative log posterior used everywhere is
 
     E(u) = 1/2 ||f - K u||^2_P + lam * J(u),      P = noise precision,
@@ -30,7 +33,6 @@ class GaussianNoiseModel:
     """
 
     precision_diag: np.ndarray = field(repr=False)
-    sigma: Optional[float] = None
 
     def __post_init__(self):
         diag = np.asarray(self.precision_diag, dtype=np.float64).reshape(-1).copy()
@@ -44,7 +46,7 @@ class GaussianNoiseModel:
         sigma = float(sigma)
         if sigma <= 0:
             raise ValueError(f"sigma must be positive, got {sigma}")
-        return cls(np.full(dim, sigma**-2), sigma=sigma)
+        return cls(np.full(dim, sigma**-2))
 
     @classmethod
     def from_precision_diag(cls, diag) -> "GaussianNoiseModel":

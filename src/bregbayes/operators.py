@@ -147,7 +147,7 @@ def _dct_eigenvalues(kernel: np.ndarray, n: int) -> np.ndarray:
 def gaussian_blur(grid: Grid, kernel_sigma: float) -> LinearOperator:
     """Separable Gaussian convolution with reflective boundary handling.
 
-    ``kernel_sigma`` is in physical units of the grid extent. The kernel is
+    ``kernel_sigma`` is a length on the grid, whose sides are 1. The kernel is
     truncated at 4 sigma and renormalized; with the reflective (half-sample
     symmetric) boundary the resulting matrix is exactly symmetric, so the
     operator is self-adjoint. Its matrix is the Kronecker product of the
@@ -210,13 +210,13 @@ def radon(grid: Grid, num_angles: int, num_bins: int) -> LinearOperator:
     hy, hx = grid.cell_widths()
     area = hx * hy
     # pixel centers, centered coordinates
-    y = (np.arange(rows) + 0.5) * hy - 0.5 * grid.extent[0]
-    x = (np.arange(cols) + 0.5) * hx - 0.5 * grid.extent[1]
+    y = (np.arange(rows) + 0.5) * hy - 0.5
+    x = (np.arange(cols) + 0.5) * hx - 0.5
     xg, yg = np.meshgrid(x, y)
     xg = xg.reshape(-1)
     yg = yg.reshape(-1)
 
-    s_max = 0.5 * float(np.hypot(*grid.extent))
+    s_max = 0.5 * float(np.hypot(1.0, 1.0))
     ds = 2.0 * s_max / num_bins
     angles = np.arange(num_angles) * (np.pi / num_angles)
 
@@ -352,9 +352,8 @@ def interval_average_1d(fine: Grid, num_intervals: int) -> LinearOperator:
     if num_intervals <= 0:
         raise ValueError("need at least one interval")
     n = fine.shape[0]
-    ext = fine.extent[0]
-    h = ext / n
-    width = ext / num_intervals
+    h = 1.0 / n
+    width = 1.0 / num_intervals
     # overlap of cell i = [i h, (i+1) h) with interval j = [j w, (j+1) w)
     edges = np.arange(n + 1) * h
     rows, cols, vals = [], [], []

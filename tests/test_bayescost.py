@@ -7,8 +7,9 @@ from scipy.integrate import quad
 from bregbayes.bayescost import (CostSpec, centered_energy_check,
                                  cm_optimality_check, format_report_text,
                                  mc_bayes_cost, theorem_ineq_check,
-                                 uniform_cost_map_limit,
                                  verify_bayes_optimality, _CachedCost)
+from bregbayes.experiments import (DilemmaLevel, DilemmaReport,
+                                   run_verification)
 from bregbayes.grids import Signal, grid1d, grid2d
 from bregbayes.map_solver import solve_map
 from bregbayes.model import (GaussianNoiseModel, Posterior, neg_log_posterior,
@@ -405,61 +406,47 @@ def test_cm_optimality_threshold_matches_one_null_block():
     assert rep.threshold == null_threshold
 
 
-# -- uniform-cost diagnostic -------------------------------------------------------
-
-
-def _uniform_cost_minimizers_by_loops(post, center, half_width, lattice,
-                                      deltas):
-    """The diagnostic's lattice search, one lattice point at a time."""
-    xs = np.linspace(center[0] - half_width, center[0] + half_width, lattice)
-    ys = np.linspace(center[1] - half_width, center[1] + half_width, lattice)
-    energy = np.empty((lattice, lattice))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            energy[i, j] = neg_log_posterior(post, np.array([x, y]))
-    w = np.exp(-(energy - energy.min()))
-    w /= w.sum()
-    cum = np.zeros((lattice + 1, lattice + 1))
-    cum[1:, 1:] = w.cumsum(axis=0).cumsum(axis=1)
-    minimizers = []
-    for delta in deltas:
-        r = int(np.floor(delta / (xs[1] - xs[0]) + 1e-12))
-        best, best_cost = None, np.inf
-        for i in range(lattice):
-            for j in range(lattice):
-                i0, i1 = max(i - r, 0), min(i + r + 1, lattice)
-                j0, j1 = max(j - r, 0), min(j + r + 1, lattice)
-                cost = 1.0 - (cum[i1, j1] - cum[i0, j1] - cum[i1, j0]
-                              + cum[i0, j0])
-                if cost < best_cost:
-                    best, best_cost = (i, j), cost
-        minimizers.append([xs[best[0]], ys[best[1]]])
-    return minimizers
-
-
-def test_uniform_cost_limit_diagnostic():
-    post = _post(np.eye(2), [1.0, -0.5], 1.0, make_l1_prior(0.7))
-    deltas = (0.5, 0.2, 0.1)
-    out = uniform_cost_map_limit(post, center=[0.5, -0.2], half_width=2.0,
-                                 lattice=41, deltas=deltas)
-    assert len(out["deltas"]) == 3
-    # the smallest delta's minimizer sits at the density maximizer
-    assert out["deltas"][-1]["sup_distance_to_max"] <= 0.5
-    for entry in out["deltas"]:
-        assert 0.0 <= entry["sup_distance_to_max"]
-    ref = _uniform_cost_minimizers_by_loops(post, [0.5, -0.2], 2.0, 41, deltas)
-    assert [e["minimizer"] for e in out["deltas"]] == ref
-
-
 # -- report plumbing ---------------------------------------------------------------
 
 
+# the fields each check's text line shows, in order (lists, nested reports
+# and the pass flag are not shown)
+_TEXT_FIELDS = {
+    "bayes_optimality": ["cost_kind", "n_beaten"],
+    "map_cm_inequalities": ["quadratic_margin", "quadratic_stderr",
+                            "quadratic_passed", "bregman_margin",
+                            "bregman_stderr", "bregman_passed"],
+    "map_centered_energy": ["spread", "tolerance", "constant", "n_points"],
+    "cm_average_optimality": ["sup_residual", "threshold", "max_stderr"],
+    "tv_dilemma": ["rule"],
+}
+
+
 def test_report_serialization():
-    post = _scalar_l1_posterior()
+    post = _post(np.eye(3), [1.0, -0.5, 0.2], 0.5, make_l1_prior(1.0))
     res = solve_map(post)
-    rep = centered_energy_check(post, res, n_points=10, seed=1)
-    text = format_report_text(rep)
-    assert "map_centered_energy" in text and "PASS" in text
-    data = json.loads(json.dumps(rep.to_dict()))
-    assert data["check"] == "map_centered_energy"
-    assert data["passed"] is True
+    chain = sample_gibbs(post, 200, burn_in=20, seed=3)
+    reports = run_verification(post, res, chain, summarize(chain),
+                               n_probes=3, seed=1)
+    level = DilemmaLevel(15, 0.5, 1.0, 2.0, 2.5, 0.1, 0.2, 0.01, 0.02,
+                         True, 40)
+    reports.append(DilemmaReport("sqrt_n", [level]))
+    names = [rep.to_dict()["check"] for rep in reports]
+    assert names == ["bayes_optimality", "bayes_optimality",
+                     "map_cm_inequalities", "map_centered_energy",
+                     "cm_average_optimality", "tv_dilemma"]
+    for rep, name in zip(reports, names):
+        d = rep.to_dict()
+        assert next(iter(d)) == "check" and d["check"] == name
+        assert json.loads(json.dumps(d)) == d
+        passed = getattr(rep, "passed", None)
+        status = "" if passed is None else ("PASS" if passed else "FAIL")
+        body = ", ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
+                         for k, v in ((k, d[k]) for k in _TEXT_FIELDS[name]))
+        assert format_report_text(rep) == f"{name}: {status} ({body})"
+    optimality = reports[0].to_dict()
+    assert list(optimality["candidate_cost"]) == ["estimate_cost", "stderr",
+                                                  "n_samples"]
+    assert list(optimality["probes"][0]) == ["scale", "margin", "stderr",
+                                             "beaten"]
+    assert reports[-1].to_dict()["levels"] == [vars(level)]

@@ -378,6 +378,17 @@ def test_cli_dilemma(tmp_path):
     assert [lv["n"] for lv in report[0]["levels"]] == [15, 31]
 
 
+def test_cli_dilemma_fills_tv1d_lambda_under_every_rule(tmp_path):
+    # the dilemma's fixed-rule sweep reads tv1d's lambda whatever the rule
+    text = TINY_TV.replace("lambda = 2.0", "rule = sqrt_n")
+    path = _write(tmp_path, text)
+    assert load_config(path)[0].lam == 2.0
+    out = tmp_path / "out"
+    assert main(["dilemma", str(path), "--out-dir", str(out)]) == 0
+    report = json.loads((out / "dilemma_report.json").read_text())
+    assert [lv["lam"] for lv in report[1]["levels"]] == [2.0, 2.0]
+
+
 def test_cli_dilemma_rejects_non_tv(tmp_path):
     path = _write(tmp_path, TINY_DEBLUR)
     assert main(["dilemma", str(path), "--out-dir",
