@@ -29,7 +29,6 @@ exactly when it is at most ``tol_residual``.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,6 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import model as _model
+from .grids import format_positional
 from .model import Posterior
 from .operators import sparse_columns
 from .priors import Prior, forward_differences
@@ -392,13 +392,11 @@ def optimality_residual(post: Posterior, result: MapResult) -> float:
 
 
 def _write_trace(path, energies, residuals) -> None:
-    """Convergence trace CSV; residual column is empty between evaluations."""
+    """Convergence trace CSV, CRLF line ends; residual empty between checks."""
     if path is None:
         return
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "energy", "residual"])
-        for i, (e, r) in enumerate(zip(energies, residuals), start=1):
-            writer.writerow([i, np.format_float_positional(e, unique=True),
-                             "" if np.isnan(r) else
-                             np.format_float_positional(r, unique=True)])
+    rows = zip(format_positional(energies), format_positional(residuals))
+    lines = ["iteration,energy,residual"] + [
+        f"{i},{e},{'' if r == 'nan' else r}"
+        for i, (e, r) in enumerate(rows, start=1)]
+    Path(path).write_text("\n".join(lines) + "\n", newline="\r\n")

@@ -48,10 +48,6 @@ class GaussianNoiseModel:
             raise ValueError(f"sigma must be positive, got {sigma}")
         return cls(np.full(dim, sigma**-2))
 
-    @classmethod
-    def from_precision_diag(cls, diag) -> "GaussianNoiseModel":
-        return cls(np.asarray(diag, dtype=np.float64))
-
     @property
     def dim(self) -> int:
         return self.precision_diag.size

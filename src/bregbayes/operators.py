@@ -4,8 +4,8 @@ Every operator carries an explicit adjoint. Adjoints are exact transposes
 of the assembled action, so randomized probe tests hold at tight
 tolerances rather than only asymptotically. Radon, Haar and the
 interval average are assembled sparse matrices, applied as
-``(matrix @ u.T).T`` and ``(matrix.T @ v.T).T``; the blur applies as a
-separable convolution and builds its columns only on demand.
+``(matrix @ u.T).T`` and ``(matrix.T @ v.T).T``; the blur multiplies by a
+dense reflective matrix per axis and builds its columns only on demand.
 """
 
 from __future__ import annotations
@@ -113,18 +113,20 @@ def _gaussian_kernel(sigma_phys: float, h: float) -> np.ndarray:
 
 
 def _reflective_matrix(kernel: np.ndarray, n: int) -> sp.csc_array:
-    """The n x n CSC matrix of ``convolve1d(., kernel, "reflect")``.
+    """The symmetric n x n CSC matrix of the 1-D convolution with ``kernel``
+    under the reflective (half-sample symmetric) boundary.
 
-    The matrix is symmetric, so column j is row j: the kernel laid over
-    j, its indices off the grid folded back half-sample symmetrically
-    (repeatedly for a kernel longer than the grid), folded duplicates
-    summed in kernel order; rows come sorted.
+    Column j is the kernel laid over j, its indices off the grid folded
+    back (repeatedly for a kernel longer than the grid), duplicates summed
+    by increasing offset |m|, so (i, j) and (j, i) add the same values in
+    the same order; rows come sorted.
     """
     r = kernel.size // 2
-    idx = (np.arange(n)[:, None] + np.arange(-r, r + 1)) % (2 * n)
+    off = np.array(sorted(range(-r, r + 1), key=abs))
+    idx = (np.arange(n)[:, None] + off) % (2 * n)
     flat = n * np.arange(n)[:, None] + np.where(idx >= n, 2 * n - 1 - idx, idx)
     keys, where = np.unique(flat, return_inverse=True)
-    vals = np.bincount(where.reshape(-1), weights=np.tile(kernel, n))
+    vals = np.bincount(where.reshape(-1), weights=np.tile(kernel[off + r], n))
     indptr = np.searchsorted(keys, n * np.arange(n + 1))
     # int32 indices, as Radon and Haar use, keep the Kronecker product small
     return sp.csc_array((vals, (keys % n).astype(np.int32),
@@ -148,40 +150,34 @@ def gaussian_blur(grid: Grid, kernel_sigma: float) -> LinearOperator:
     """Separable Gaussian convolution with reflective boundary handling.
 
     ``kernel_sigma`` is a length on the grid, whose sides are 1. The kernel is
-    truncated at 4 sigma and renormalized; with the reflective (half-sample
-    symmetric) boundary the resulting matrix is exactly symmetric, so the
-    operator is self-adjoint. Its matrix is the Kronecker product of the
-    1-D reflective matrices, which ``columns`` builds as one CSC matrix.
-    While the kernel radius is below every grid side, the orthonormal
-    DCT-II diagonalises it (``dct_eigenvalues``).
+    truncated at 4 sigma and renormalized. Each axis has its exactly
+    symmetric 1-D reflective matrix, so the operator is self-adjoint:
+    ``apply`` computes A_r X A_c with them densified, and ``columns`` builds
+    their Kronecker product as one CSC matrix. While the kernel radius is
+    below every grid side, the orthonormal DCT-II diagonalises it
+    (``dct_eigenvalues``).
     """
-    # imported here so scenarios without a blur do not load scipy.ndimage
-    from scipy.ndimage import convolve1d
-
     if kernel_sigma <= 0:
         raise ValueError(f"kernel_sigma must be positive, got {kernel_sigma}")
     shape = grid.shape
-    widths = grid.cell_widths()
-    kernels = [_gaussian_kernel(kernel_sigma, h) for h in widths]
+    kernels = [_gaussian_kernel(kernel_sigma, h) for h in grid.cell_widths()]
+    axes = [_reflective_matrix(k, s) for k, s in zip(kernels, shape)]
+    # a 1-D grid as one column, blurred along its row by the 1 x 1 identity
+    a_r, a_c = [a.toarray() for a in axes] + [np.ones((1, 1))] * (2 - grid.dim)
+    image = (shape + (1,))[:2]
 
     def columns() -> sp.csc_array:
-        axes = [_reflective_matrix(k, s) for k, s in zip(kernels, shape)]
-        if grid.dim == 1:
-            return axes[0]
         # column (i, j) of kron(A0, A1) is the outer product of their columns
-        return sp.csc_array(sp.kron(*axes, format="csc"))
+        return axes[0] if grid.dim == 1 else sp.csc_array(
+            sp.kron(*axes, format="csc"))
 
     eig = None
     if all(k.size // 2 < s for k, s in zip(kernels, shape)):
-        eig = _dct_eigenvalues(kernels[0], shape[0])
-        if grid.dim == 2:
-            eig = np.multiply.outer(eig, _dct_eigenvalues(kernels[1], shape[1]))
+        eig = reduce(np.multiply.outer, map(_dct_eigenvalues, kernels, shape))
 
     def apply(u: np.ndarray) -> np.ndarray:
-        img = u.reshape(u.shape[:-1] + shape)
-        for axis, k in enumerate(kernels, start=u.ndim - 1):
-            img = convolve1d(img, k, axis=axis, mode="reflect")
-        return img.reshape(u.shape)
+        # a block's rows go through the same products as single vectors
+        return (a_r @ u.reshape(u.shape[:-1] + image) @ a_c).reshape(u.shape)
 
     n = grid.size
     return LinearOperator(n, n, apply, apply, f"blur(sigma={kernel_sigma:g})",

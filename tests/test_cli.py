@@ -396,7 +396,7 @@ def test_cli_dilemma_rejects_non_tv(tmp_path):
 
 
 def test_cli_import_loads_no_ndimage():
-    # only the blur needs scipy.ndimage; the CT and TV commands skip it
+    # no bregbayes module needs scipy.ndimage (see the deblur run below)
     src = str(Path(experiments.__file__).resolve().parents[1])
     code = ("import sys, bregbayes.cli; "
             "sys.exit('scipy.ndimage' in sys.modules)")
@@ -405,16 +405,27 @@ def test_cli_import_loads_no_ndimage():
     assert proc.returncode == 0
 
 
-def test_cli_deblur_map_loads_no_scipy_fft(tmp_path):
-    # the DCT u-step applies dense DCT matrices, so no scipy.fft import
+def _assert_deblur_map_skips(tmp_path, module):
+    """A fresh interpreter's deblur ``map`` run succeeds without importing
+    ``module``."""
     path = _write(tmp_path, TINY_DEBLUR)
     src = str(Path(experiments.__file__).resolve().parents[1])
     code = ("import sys; from bregbayes.cli import main; "
             f"assert main(['map', {str(path)!r}, '--out-dir', "
             f"{str(tmp_path / 'out')!r}]) == 0; "
-            "sys.exit('scipy.fft' in sys.modules)")
+            f"sys.exit({module!r} in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code],
                           env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert proc.returncode == 0
+
+
+def test_cli_deblur_map_loads_no_ndimage(tmp_path):
+    # the blur applies dense reflective matrices, not scipy.ndimage
+    _assert_deblur_map_skips(tmp_path, "scipy.ndimage")
+
+
+def test_cli_deblur_map_loads_no_scipy_fft(tmp_path):
+    # the DCT u-step applies dense DCT matrices, so no scipy.fft import
+    _assert_deblur_map_skips(tmp_path, "scipy.fft")
     report = json.loads((tmp_path / "out" / "map_report.json").read_text())
     assert report["converged"] and report["cg_iterations"] == 0

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bregbayes.grids import (Grid, Signal, grid1d, grid2d, load_signal_csv,
-                             save_signal_csv, save_signal_pgm)
+from bregbayes.grids import (Grid, Signal, format_positional, grid1d, grid2d,
+                             load_signal_csv, save_signal_csv, save_signal_pgm)
 
 
 def test_grid_basics():
@@ -49,6 +49,19 @@ def test_csv_roundtrip_2d(tmp_path):
     back = load_signal_csv(path)
     assert back.grid.shape == (3, 4)
     np.testing.assert_array_equal(back.values, s.values)
+
+
+def test_format_positional_writes_numpys_bytes():
+    rng = np.random.default_rng(8)
+    values = np.concatenate([
+        rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-30, 30, 20000),
+        rng.standard_normal(1000), rng.integers(-10**6, 10**6, 100),
+        [0.0, -0.0, 5e-324, 1e16, 1e22, 2.5e-5, 1e-5, 1e-4, 1e15, 0.1, 10.0,
+         1.2345678901234567e16, 2.2250738585072014e-308,
+         1.7976931348623157e308, -1.7976931348623157e308,
+         np.inf, -np.inf, np.nan]])
+    assert format_positional(values) == [
+        np.format_float_positional(v, unique=True) for v in values]
 
 
 def test_csv_rejects_garbage(tmp_path):

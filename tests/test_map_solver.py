@@ -206,7 +206,7 @@ def test_banded_tv_u_step_matches_dense_solve(case, monkeypatch):
         k = interval_average_1d(grid1d(n), m)
     prec = rng.uniform(50.0, 150.0, m)
     post = Posterior(k, Signal(grid1d(m), np.zeros(m)),
-                     GaussianNoiseModel.from_precision_diag(prec),
+                     GaussianNoiseModel(prec),
                      make_tv1d_prior(0.3))
     mu = 3.0
     kd = np.column_stack([k.apply(e) for e in np.eye(n)])

@@ -97,13 +97,46 @@ def test_blur_delta_gives_normalized_kernel():
     assert out.argmax() == n // 2
 
 
+def _blur_reference(u, shape, sigma):
+    """The blur by explicit kernel sums over the symmetrically padded signal,
+    one axis after the other; np.pad folds a kernel wider than the grid
+    repeatedly."""
+    img = u.reshape(u.shape[:-1] + shape)
+    for axis, n in enumerate(shape, start=u.ndim - 1):
+        h = 1.0 / n
+        r = max(1, math.ceil(4 * sigma / h))
+        k = np.exp(-0.5 * (np.arange(-r, r + 1) * h / sigma) ** 2)
+        k /= k.sum()
+        pad = [(0, 0)] * img.ndim
+        pad[axis] = (r, r)
+        padded = np.pad(img, pad, mode="symmetric")
+        img = sum(k[m] * np.take(padded, np.arange(n) + m, axis=axis)
+                  for m in range(2 * r + 1))
+    return img.reshape(u.shape)
+
+
+@pytest.mark.parametrize("grid, sigma", [
+    (grid1d(33), 0.05), (grid2d(12, 12), 0.04), (grid2d(10, 14), 0.06),
+    (grid1d(5), 0.4),  # radius 8 > side 5: the kernel folds repeatedly
+], ids=["1d33", "12x12", "10x14", "1d5-wide-kernel"])
+def test_blur_matches_the_padded_kernel_sum_reference(grid, sigma):
+    op = gaussian_blur(grid, sigma)
+    for u in (RNG.standard_normal(grid.size),
+              RNG.standard_normal((3, grid.size))):
+        ref = _blur_reference(u, grid.shape, sigma)
+        assert np.abs(op.apply(u) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_blur_self_adjoint_and_linf_contraction():
-    op = gaussian_blur(grid2d(10, 10), 0.06)
-    a = _dense(op)
-    np.testing.assert_allclose(a, a.T, atol=1e-14)
-    for _ in range(10):
-        u = RNG.standard_normal(op.in_dim)
-        assert np.abs(op.apply(u)).max() <= np.abs(u).max() + 1e-12
+    # symmetric bit for bit, also where the kernel folds more than once
+    for grid, sigma in ((grid2d(10, 10), 0.06), (grid1d(8), 0.3),
+                        (grid2d(6, 10), 0.3)):
+        op = gaussian_blur(grid, sigma)
+        a = _dense(op)
+        np.testing.assert_array_equal(a, a.T)
+        for _ in range(10):
+            u = RNG.standard_normal(op.in_dim)
+            assert np.abs(op.apply(u)).max() <= np.abs(u).max() + 1e-12
 
 
 def test_blur_rejects_bad_sigma():
@@ -215,10 +248,8 @@ def test_sparse_columns_match_the_dense_operator(op):
     np.testing.assert_array_equal(csc.indptr,
                                   np.searchsorted(col, np.arange(op.in_dim + 1)))
     np.testing.assert_array_equal(csc.indices, row)
-    # an assembled matrix is what apply multiplies; the blur convolves,
-    # which sums in another order
-    atol = 1e-15 if op.columns is not None else 0.0
-    np.testing.assert_allclose(csc.data, dense.T[col, row], rtol=0, atol=atol)
+    # every operator, the blur too, multiplies by exactly these entries
+    np.testing.assert_array_equal(csc.data, dense.T[col, row])
 
 
 def test_sparse_columns_refuses_an_operator_without_structure():
