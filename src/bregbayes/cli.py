@@ -12,7 +12,7 @@ Subcommands (each takes a config file plus optional --seed/--out-dir):
 Every run writes a manifest listing its artifacts, the config hash and the
 python, numpy and scipy versions. Exit status: 0 done, 1 checks failed,
 2 usage error, 3 refused (the manifest's ``usage_error`` or ``refused``
-field says why).
+field says why; a config file rejected at load makes no out dir).
 """
 
 from __future__ import annotations
@@ -209,9 +209,6 @@ def _cmd_verify(cfg, writer) -> int:
 
 
 def _cmd_dilemma(cfg, writer) -> int:
-    if cfg.name != "tv1d":
-        print("the dilemma sweep needs a tv1d config", file=sys.stderr)
-        return 2
     reports = [run_dilemma_sweep(cfg, "sqrt_n"),
                run_dilemma_sweep(cfg, "fixed")]
     payload = [r.to_dict() for r in reports]
@@ -241,7 +238,11 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     args = _arg_parser().parse_args(argv)
-    cfg, writer = _load(args)
+    try:
+        cfg, writer = _load(args)
+    except (ValueError, OSError) as exc:  # a config that no run can honour
+        print(f"bregbayes {args.command}: usage error: {exc}", file=sys.stderr)
+        return 2
     try:
         return _COMMANDS[args.command](cfg, writer)
     except Refused as exc:  # a one-line reason: a MAP solve did not converge

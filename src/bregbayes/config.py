@@ -66,7 +66,10 @@ _SCHEMA = {
 
 def parse_config_text(text: str) -> ScenarioConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    cp.read_string(text)
+    try:
+        cp.read_string(text)
+    except configparser.Error as exc:  # no section header, a repeated key
+        raise ValueError(" ".join(str(exc).split())) from exc
     values: dict[str, dict] = {}
     for section in cp.sections():
         if section not in _SCHEMA:

@@ -65,7 +65,8 @@ class Refused(ValueError):
 
 
 class UsageError(ValueError):
-    """A run stopped before any work: its config asks for too few draws."""
+    """A run stopped before any work: its config asks for too few draws,
+    or for the dilemma sweep on a scenario other than tv1d."""
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,9 @@ class ScenarioConfig:
                 object.__setattr__(self, key, value)
         if self.lambda_rule not in ("fixed", "sqrt_n", "s_curve"):
             raise ValueError(f"unknown lambda rule {self.lambda_rule!r}")
+        if self.name == "tv1d" and self.lambda_rule == "s_curve":
+            raise ValueError("[prior] rule = s_curve: tv1d's target would "
+                             "count nonzero pixels, its MAP's differences")
         # the dilemma sweep reads tv1d's lam under every rule
         if self.lam is None and (self.lambda_rule == "fixed"
                                  or self.name == "tv1d"):
@@ -143,6 +147,21 @@ class ScenarioConfig:
             raise ValueError("truth grid factor must be a positive integer")
         if self.lambda_rule == "fixed" and self.lam is None:
             raise ValueError("fixed lambda rule needs a lambda value")
+        lo, hi = self.s_curve_bracket
+        if not 0 < lo < hi:
+            raise ValueError(f"[prior] s_curve_bracket needs 0 < lo < hi, "
+                             f"got {lo} {hi}")
+        if self.kernel_sigma <= 0:
+            raise ValueError(f"[deblur2d] kernel_sigma must be positive, got "
+                             f"{self.kernel_sigma}")
+        side = shape[0]
+        if self.name == "ct2d" and (
+                side & (side - 1) or min(self.angles, self.bins) < 1
+                or not 1 <= (self.wavelet_levels or 1) < side.bit_length()):
+            raise ValueError(f"[ct2d] needs a power-of-two side >= 2 (Haar), "
+                             f"wavelet_levels in [1, log2 side], angles and "
+                             f"bins >= 1; got {side}, {self.wavelet_levels}, "
+                             f"{self.angles}, {self.bins}")
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +332,7 @@ def s_curve_select_lambda(posterior_factory: Callable[[float], Posterior],
     """
     if not 0.0 < target_sparsity < 1.0:
         raise ValueError("target sparsity must be in (0, 1)")
-    lo, hi = bracket
-    if not 0 < lo < hi:
-        raise ValueError("bad bracket")
+    lo, hi = bracket  # 0 < lo < hi, checked by ScenarioConfig
     solver = solver or SolverOptions(max_iters=400)
     evaluated: list[dict] = []
 
@@ -765,7 +782,7 @@ def run_dilemma_sweep(cfg: ScenarioConfig, rule: str,
     converge.
     """
     if cfg.name != "tv1d":
-        raise ValueError("the dilemma sweep is a tv1d scenario")
+        raise UsageError("the dilemma sweep needs a tv1d config")
     if rule not in ("sqrt_n", "fixed"):
         raise ValueError(f"unknown rule {rule!r}")
     base = build_tv1d(cfg, n=max(cfg.sweep))

@@ -14,8 +14,9 @@ Two samplers are provided:
   class the closed-form three-piece draw :func:`_tv_draw` (two kinks, at
   the neighbours' values); the general piece table (:func:`_pg_table` +
   :func:`_pg_draw`) serves only Gaussian classes and
-  :class:`PiecewiseGaussian1D`. A class of one coordinate takes the
-  scalar draw :func:`_pg_draw_scalar`.
+  :class:`PiecewiseGaussian1D`. A pixel-l1 or Gaussian class of one
+  coordinate takes the same arithmetic on floats, a TV class of one
+  :func:`_tv_draw` at B = 1: every draw is bit for bit the table's.
 * :func:`sample_rwm` -- componentwise Gaussian-proposal Metropolis on the
   pixels, for the Besov prior (whose energy it scores on the Haar
   coefficients W u), the pixel l1 prior and the Gaussian prior with
@@ -165,13 +166,10 @@ class PiecewiseGaussian1D:
         mass = np.exp(self.table.log_mass[0] - self.table.log_mass.max())
         self.cum_prob = np.cumsum(mass / mass.sum())
 
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        scalar = size is None
-        m = 1 if scalar else int(size)
-        u1 = rng.random(m)
-        u2 = rng.random(m)
-        t = _pg_draw(self.table, np.zeros(m, dtype=np.intp), u1, u2)
-        return float(t[0]) if scalar else t
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        u1 = rng.random(size)
+        u2 = rng.random(size)
+        return _pg_draw(self.table, np.zeros(size, dtype=np.intp), u1, u2)
 
     def cdf(self, t):
         """Exact CDF, vectorized; used by the KS acceptance checks."""
@@ -216,10 +214,13 @@ def _l1_draw(a, b, lam, u1, u2) -> np.ndarray:
     u = np.where(pos, 1.0 - u2, u2)
     with np.errstate(divide="ignore", invalid="ignore"):
         logp = np.minimum(lb + np.log1p(u - 1.0), 0.0)
-    x = np.minimum(ndtri_exp(np.where(np.isfinite(logp), logp, lb)),
-                   np.where(pos, q[1], q[0]))
+    x = ndtri_exp(np.where(np.isfinite(logp), logp, lb))
+    # ties take q, then 0.0, explicitly: numpy does not document which of
+    # two equal zeros of opposite sign np.minimum returns
+    end = np.where(pos, q[1], q[0])
+    x = np.where(x < end, x, end)
     t = np.where(pos, mu[1], mu[0]) + sigma * np.where(pos, -x, x)
-    return np.where(pos, np.maximum(t, 0.0), np.minimum(t, 0.0))
+    return np.where(np.where(pos, t > 0.0, t < 0.0), t, 0.0)
 
 
 class _TvClass(NamedTuple):
@@ -323,111 +324,43 @@ def _tv_draw(k: _TvClass, b, nb, u1, u2) -> np.ndarray:
     return np.minimum(np.maximum(t, t_lo), t_hi)
 
 
-# ---------------------------------------------------------------------------
-# scalar draw for colour classes of one coordinate (same math as the
-# batched kernel in plain floats, which avoids its array overhead at B = 1;
-# a test pins the two to identical draws)
-# ---------------------------------------------------------------------------
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_LOG_2PI = math.log(2.0 * math.pi)
-_NEG_INF = float("-inf")
-
-
-def _log_ndtr_scalar(x: float) -> float:
-    if x > -1.0:
-        return math.log(0.5 * math.erfc(-x * _INV_SQRT2))
-    if x > -36.0:
-        return math.log(0.5) + math.log(math.erfc(-x * _INV_SQRT2))
-    x2 = x * x
-    return (-0.5 * x2 - math.log(-x) - 0.5 * _LOG_2PI
-            + math.log1p(-1.0 / x2 + 3.0 / (x2 * x2)))
-
-
-def _log_norm_cdf_diff_scalar(a: float, b: float) -> float:
-    """log(Phi(b) - Phi(a)), a <= b, plain floats."""
-    if a == _NEG_INF and b == math.inf:
-        return 0.0
-    s = a + b
-    if s == s and s > 0:  # flip to the accurate tail; NaN (inf-inf) stays
-        a, b = -b, -a
-    la = _log_ndtr_scalar(a) if a > _NEG_INF else _NEG_INF
-    lb = _log_ndtr_scalar(b)
-    diff = la - lb
-    if diff >= 0.0:
-        return _NEG_INF
-    return lb + math.log1p(-math.exp(diff))
+def _l1_draw_scalar(a: float, b: float, lam: float, u1: float,
+                    u2: float) -> float:
+    """:func:`_l1_draw` on Python floats, for a colour class of one
+    coordinate: the same ufuncs on the same operands in the same order,
+    and the same ties, so the draw is bit for bit ``_l1_draw``'s at B = 1.
+    (A tie of the two log masses leaves the weights 1.0 whichever wins.)"""
+    two_a = 2.0 * a
+    sigma = 1.0 / math.sqrt(two_a)
+    mu0, mu1 = -(b - lam) / two_a, -(b + lam) / two_a
+    q0, q1 = -mu0 / sigma, mu1 / sigma
+    cdf0, cdf1 = float(log_ndtr(q0)), float(log_ndtr(q1))
+    m0, m1 = a * mu0 * mu0 + cdf0, a * mu1 * mu1 + cdf1
+    top = m0 if m0 > m1 else m1
+    w0, w1 = float(np.exp(m0 - top)), float(np.exp(m1 - top))
+    pos = w0 <= u1 * (w0 + w1)  # the piece t >= 0
+    lb, q, mu = (cdf1, q1, mu1) if pos else (cdf0, q0, mu0)
+    v = (1.0 - u2 if pos else u2) - 1.0
+    # log1p(-1) is -inf, and _l1_draw then takes ndtri_exp(lb)
+    logp = lb + float(np.log1p(v)) if v > -1.0 else lb
+    x = float(ndtri_exp(logp if logp < 0.0 else 0.0))
+    x = x if x < q else q
+    t = mu + sigma * (-x if pos else x)
+    if pos:
+        return t if t > 0.0 else 0.0
+    return t if t < 0.0 else 0.0
 
 
-def _truncnorm_std_scalar(a: float, b: float, u: float) -> float:
-    s = a + b
-    flip = s == s and s > 0
-    if flip:
-        a, b, u = -b, -a, 1.0 - u
-    la = _log_ndtr_scalar(a) if a > _NEG_INF else _NEG_INF
-    lb = _log_ndtr_scalar(b) if b < math.inf else 0.0
-    span = -math.expm1(min(la - lb, 0.0))
-    arg = u * span - span
-    logp = lb + (math.log1p(arg) if arg > -1.0 else _NEG_INF)
-    if logp == _NEG_INF:
-        x = a
-    else:
-        x = float(ndtri_exp(min(logp, 0.0)))
-    x = min(max(x, a), b)
-    return -x if flip else x
-
-
-def _pg_draw_scalar(a: float, b: float, kinks, u1: float, u2: float) -> float:
-    """One exact draw from exp(-(a t^2 + b t) - sum_j c_j |t - d_j|).
-
-    ``kinks`` is a short sequence of (weight, location) pairs sorted by
-    location; u1 selects the piece, u2 the position within it.
-    """
-    sigma = 1.0 / math.sqrt(2.0 * a)
-    n_kinks = len(kinks)
-    total_c = 0.0
-    total_cd = 0.0
-    for c, d in kinks:
-        total_c += c
-        total_cd += c * d
-    left_c = 0.0
-    left_cd = 0.0
-    logms = []
-    pieces = []
-    best = _NEG_INF
-    for p in range(n_kinks + 1):
-        slope = 2.0 * left_c - total_c
-        offset = total_cd - 2.0 * left_cd
-        mu = -(b + slope) / (2.0 * a)
-        lo = kinks[p - 1][1] if p > 0 else _NEG_INF
-        hi = kinks[p][1] if p < n_kinks else math.inf
-        alpha = (lo - mu) / sigma if lo > _NEG_INF else _NEG_INF
-        beta_ = (hi - mu) / sigma if hi < math.inf else math.inf
-        logm = a * mu * mu - offset + _log_norm_cdf_diff_scalar(alpha, beta_)
-        logms.append(logm)
-        pieces.append((mu, lo, hi, alpha, beta_))
-        if logm > best:
-            best = logm
-        if p < n_kinks:
-            left_c += kinks[p][0]
-            left_cd += kinks[p][0] * kinks[p][1]
-    total = 0.0
-    weights = []
-    for lm in logms:
-        w = math.exp(lm - best) if lm > _NEG_INF else 0.0
-        weights.append(w)
-        total += w
-    target = u1 * total
-    acc = 0.0
-    p = n_kinks
-    for j, w in enumerate(weights):
-        acc += w
-        if target < acc:
-            p = j
-            break
-    mu, lo, hi, alpha, beta_ = pieces[p]
-    t = mu + sigma * _truncnorm_std_scalar(alpha, beta_, u2)
-    return min(max(t, lo), hi)
+def _gauss_draw_scalar(a: float, b: float, u2: float) -> float:
+    """One exact draw from exp(-(a t^2 + b t)) on Python floats, for a
+    colour class of one coordinate: the arithmetic of :func:`_pg_table`
+    and :func:`_pg_draw` at no kink (b + 0.0 adds the table's slope), so
+    bit for bit the table's draw."""
+    two_a = 2.0 * a
+    v = u2 - 1.0
+    # log1p(-1) is -inf, and the table then takes ndtri_exp(0)
+    x = float(ndtri_exp(float(np.log1p(v)) if v > -1.0 else 0.0))
+    return -(b + 0.0) / two_a + 1.0 / math.sqrt(two_a) * x
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +558,10 @@ def sample_gibbs(post: Posterior, n_samples: int, burn_in: int = 0,
 
     Each sweep visits the colour classes of ``layout`` (built from
     ``post`` when not given) in turn and draws all members of a class from
-    their exact conditionals at once; a class of one coordinate takes the
-    scalar draw. One recorded sample per ``thinning`` sweeps after
-    ``burn_in`` sweeps. Supported priors: Gaussian, pixel-domain l1, and
-    1D TV.
+    their exact conditionals at once; a pixel-l1 or Gaussian class of one
+    coordinate takes the closed form on floats. One recorded sample per
+    ``thinning`` sweeps after ``burn_in`` sweeps. Supported priors:
+    Gaussian, pixel-domain l1, and 1D TV.
     """
     if n_samples < 1 or thinning < 1 or burn_in < 0:
         raise ValueError("bad chain sizing")
@@ -659,10 +592,11 @@ def sample_gibbs(post: Posterior, n_samples: int, burn_in: int = 0,
             a_all = a_all + lc * lnorm[order]
     blocks = []
     for k0, k1 in zip(layout.bounds[:-1], layout.bounds[1:]):
-        if k1 - k0 == 1:
-            blocks.append((True, order[k0], k0, layout.rows[k0],
+        if k1 - k0 == 1 and kind != "tv1d":
+            # a class of one coordinate: the closed form on floats
+            blocks.append((True, int(order[k0]), k0, layout.rows[k0],
                            layout.vals[k0], layout.pvals[k0],
-                           layout.colnorm[k0], a_all[k0], None))
+                           float(layout.colnorm[k0]), float(a_all[k0]), None))
             continue
         members = order[k0:k1]
         size = k1 - k0
@@ -684,7 +618,6 @@ def sample_gibbs(post: Posterior, n_samples: int, burn_in: int = 0,
                        layout.colnorm[k0:k1], a_all[k0:k1], kinks))
     total_sweeps = burn_in + n_samples * thinning
     out = np.empty((n_samples, n))
-    last = n - 1
     for sweep in range(total_sweeps):
         # row j holds the uniforms of coordinate order[j], so each class
         # reads a slice; coordinate i still takes row i of the drawn block
@@ -692,26 +625,17 @@ def sample_gibbs(post: Posterior, n_samples: int, burn_in: int = 0,
         u1_all, u2_all = uu[:, 0], uu[:, 1]
         for scalar, members, scan, idx, vals, pv, cn, a, kinks in blocks:
             if scalar:
-                # scalar draw, with the arithmetic of a sequential sweep
                 i = members
-                ui = u[i]
+                ui = float(u[i])
                 b = -(ui * cn + float(pv @ rho[idx]))
-                if kind == "gaussian":
+                if kind == "l1":
+                    t = _l1_draw_scalar(a, b, lam, float(u1_all[scan]),
+                                        float(u2_all[scan]))
+                else:
                     if l_mat is not None:
                         b += 2.0 * lc * (float(l_mat[:, i] @ lw)
                                          - ui * lnorm[i])
-                    ks = ()
-                elif kind == "l1":
-                    ks = ((lam, 0.0),)
-                elif i == 0:
-                    ks = ((lam, u[1]),)
-                elif i == last:
-                    ks = ((lam, u[last - 1]),)
-                else:
-                    dl, dr = u[i - 1], u[i + 1]
-                    ks = (((lam, dl), (lam, dr)) if dl <= dr
-                          else ((lam, dr), (lam, dl)))
-                t = _pg_draw_scalar(a, b, ks, u1_all[scan], u2_all[scan])
+                    t = _gauss_draw_scalar(a, b, float(u2_all[scan]))
                 delta = t - ui
                 if delta != 0.0:
                     rho[idx] -= delta * vals

@@ -204,8 +204,14 @@ def test_config_rejects_lambda_under_a_rule_that_ignores_it(name):
     head = f"[scenario]\nname = {name}\n[prior]\nlambda = 1.5\n"
     assert parse_config_text(head + "rule = fixed\n").lam == 1.5
     for rule in ("sqrt_n", "s_curve"):
-        if name == "tv1d":
+        if name == "tv1d" and rule == "sqrt_n":
             assert parse_config_text(head + f"rule = {rule}\n").lam == 1.5
+            continue
+        if name == "tv1d":
+            # the target would count the truth's nonzero pixels, the search
+            # the MAP's nonzero differences: two different quantities
+            with pytest.raises(ValueError, match=r"\[prior\] rule = s_curve"):
+                parse_config_text(head + f"rule = {rule}\n")
             continue
         with pytest.raises(ValueError, match=r"\[prior\] lambda"):
             parse_config_text(head + f"rule = {rule}\n")
@@ -213,6 +219,29 @@ def test_config_rejects_lambda_under_a_rule_that_ignores_it(name):
             experiments.ScenarioConfig(name=name, lam=1.5, lambda_rule=rule)
         assert experiments.ScenarioConfig(name=name, lambda_rule=rule).lam \
             is None
+
+
+@pytest.mark.parametrize("text", [
+    TINY_DEBLUR + "\nnot_a_key = 3\n",
+    None,  # no such file
+    "[scenario]\nname = ct2d\n[grid]\nshape = 48 48\n",
+    "[scenario]\nname = ct2d\n[ct2d]\nangles = 0\n",
+    TINY_DEBLUR.replace("[prior]\n", "[prior]\ns_curve_bracket = 10 1\n"),
+    TINY_DEBLUR.replace("kernel_sigma = 0.05", "kernel_sigma = -1"),
+    TINY_TV.replace("lambda = 2.0", "rule = s_curve"),
+    "lambda = 2.0\n",  # no section header
+], ids=["unknown-key", "missing-file", "ct2d-side-48", "ct2d-no-angles",
+        "reversed-bracket", "negative-kernel-sigma", "tv1d-s-curve",
+        "no-section"])
+def test_cli_config_no_run_can_honour_is_a_usage_error(tmp_path, capsys, text):
+    # exit 2 with one line on stderr, before any out dir is made
+    path = tmp_path / "absent.ini" if text is None else _write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["map", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bregbayes map: usage error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_config_rejects_prior_beta():
@@ -393,6 +422,8 @@ def test_cli_dilemma_rejects_non_tv(tmp_path):
     path = _write(tmp_path, TINY_DEBLUR)
     assert main(["dilemma", str(path), "--out-dir",
                  str(tmp_path / "o")]) == 2
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["usage_error"] == "the dilemma sweep needs a tv1d config"
 
 
 def test_cli_import_loads_no_ndimage():

@@ -13,8 +13,9 @@ from bregbayes.operators import (from_matrix, gaussian_blur, haar_transform,
 from bregbayes.priors import (make_besov_prior, make_gaussian_prior,
                               make_l1_prior, make_tv1d_prior)
 from bregbayes import sampling
-from bregbayes.sampling import (Chain, PiecewiseGaussian1D, _l1_draw,
-                                _pg_draw, _pg_draw_scalar, _pg_table,
+from bregbayes.sampling import (Chain, PiecewiseGaussian1D,
+                                _gauss_draw_scalar, _l1_draw,
+                                _l1_draw_scalar, _pg_draw, _pg_table,
                                 _tv_class, _tv_draw,
                                 batch_means_stderr,
                                 gibbs_layout, load_chain, rwm_layout,
@@ -81,28 +82,6 @@ def test_piecewise_gaussian_draws_pass_ks():
         assert kstest(draws, pg.cdf).pvalue > 1e-3
 
 
-def _batched_draw(a, b, kinks, u1, u2):
-    """The batched kernel at B = 1 for (weight, location) kinks."""
-    c = np.array([[c for c, _ in kinks]]).reshape(1, -1)
-    d = np.array([[d for _, d in kinks]]).reshape(1, -1)
-    table = _pg_table(np.array([a]), np.array([b]), c, d)
-    return float(_pg_draw(table, np.zeros(1, dtype=int), np.array([u1]),
-                          np.array([u2]))[0])
-
-
-def test_scalar_fast_path_matches_reference():
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        a = rng.uniform(0.02, 50.0)
-        b = rng.uniform(-30, 30)
-        kinks = sorted(((rng.uniform(0.0, 5.0), rng.uniform(-4, 4))
-                        for _ in range(rng.integers(0, 4))), key=lambda cd: cd[1])
-        u1, u2 = rng.random(), rng.random()
-        t_ref = _batched_draw(a, b, kinks, u1, u2)
-        t_fast = _pg_draw_scalar(a, b, tuple(kinks), u1, u2)
-        assert t_fast == pytest.approx(t_ref, abs=1e-12)
-
-
 def test_padded_kinks_draw_like_unpadded():
     # weight-0 pads at the location of a real kink of the row add pieces
     # of zero mass, so the same uniforms give the same draws
@@ -123,6 +102,10 @@ def test_padded_kinks_draw_like_unpadded():
     d_pad = np.take_along_axis(d_pad, by_location, axis=1)
     padded = _pg_draw(_pg_table(a, b, c_pad, d_pad), rows, u1, u2)
     np.testing.assert_allclose(padded, plain, rtol=0, atol=1e-12)
+
+
+def _same_bits(x, y):
+    return np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 def _table_l1_draw(a, b, lam, u1, u2):
@@ -151,18 +134,44 @@ def test_l1_draw_is_the_table_kernel_bitwise():
                               _table_l1_draw(a, b, lam, u1, u2))
 
 
-def test_l1_draw_matches_scalar_draw():
-    rng = np.random.default_rng(43)
-    for _ in range(200):
-        a = rng.uniform(0.02, 50.0)
-        b = rng.uniform(-30, 30)
-        lam = rng.uniform(0.0, 5.0)
-        u1, u2 = rng.random(), rng.random()
-        t = _l1_draw(np.array([a]), np.array([b]), lam, np.array([u1]),
-                     np.array([u2]))
-        assert t.shape == (1,)
-        assert t[0] == pytest.approx(
-            _pg_draw_scalar(a, b, ((lam, 0.0),), u1, u2), abs=1e-12)
+def _scalar_draw_cases(rng, count):
+    """Random (a, b, lam, u1, u2) over wide ranges, with ties at the kink
+    (b = 0, b = -lam, b = lam) and the ends of the inverse CDF."""
+    a = np.exp(rng.uniform(-6.0, 10.0, count))
+    b = rng.choice([-1.0, 1.0], count) * np.exp(rng.uniform(-6.0, 12.0, count))
+    lam = np.exp(rng.uniform(-3.0, 6.0, count))
+    b[::23] = 0.0
+    b[1::29] = -lam[1::29]
+    b[2::31] = lam[2::31]
+    u1, u2 = rng.random(count), rng.random(count)
+    u2[::5] = 1.0 - 2.0**-53
+    u2[1::7] = 0.0
+    u2[2::11] = 0.5
+    u2[3::13] = 1e-300
+    u1[4::17] = 0.0
+    return zip(*(x.tolist() for x in (a, b, lam, u1, u2)))
+
+
+def test_l1_draw_scalar_is_l1_draw_bitwise():
+    for a, b, lam, u1, u2 in _scalar_draw_cases(np.random.default_rng(43),
+                                                4000):
+        t = _l1_draw_scalar(a, b, lam, u1, u2)
+        assert type(t) is float
+        batched = _l1_draw(np.array([a]), np.array([b]), lam, np.array([u1]),
+                           np.array([u2]))
+        assert _same_bits(np.array([t]), batched), (a, b, lam, u1, u2)
+
+
+def test_gauss_draw_scalar_is_the_table_at_no_kink_bitwise():
+    no_kink = np.zeros((1, 0))
+    for a, b, _, u1, u2 in _scalar_draw_cases(np.random.default_rng(45),
+                                              4000):
+        t = _gauss_draw_scalar(a, b, u2)
+        assert type(t) is float
+        table = _pg_draw(_pg_table(np.array([a]), np.array([b]), no_kink,
+                                   no_kink), np.zeros(1, dtype=np.intp),
+                         np.array([u1]), np.array([u2]))
+        assert _same_bits(np.array([t]), table), (a, b, u2)
 
 
 def test_l1_draw_deep_tails():
@@ -198,10 +207,6 @@ def _table_tv_draw(a, b, c1, c2, d, u1, u2):
                     np.arange(a.size), u1, u2)
 
 
-def _same_bits(x, y):
-    return np.array_equal(x.view(np.uint64), y.view(np.uint64))
-
-
 def test_tv_draw_is_the_table_kernel_bitwise():
     rng = np.random.default_rng(59)
     for batch in range(2400):
@@ -229,22 +234,6 @@ def test_tv_draw_is_the_table_kernel_bitwise():
         nb = np.where(swap, d[::-1], d)
         assert _same_bits(_tv_draw(_tv_class(a, c1, c2), b, nb, u1, u2),
                           _table_tv_draw(a, b, c1, c2, d, u1, u2))
-
-
-def test_tv_draw_matches_scalar_draw():
-    rng = np.random.default_rng(61)
-    for _ in range(200):
-        a = rng.uniform(0.02, 50.0)
-        b = rng.uniform(-30, 30)
-        c1, c2 = rng.uniform(0.0, 5.0, 2)
-        d1, d2 = np.sort(rng.uniform(-4.0, 4.0, 2))
-        u1, u2 = rng.random(), rng.random()
-        t = _tv_draw(_tv_class(np.array([a]), np.array([c1]), np.array([c2])),
-                     np.array([b]), np.array([[d2], [d1]]), np.array([u1]),
-                     np.array([u2]))
-        assert t.shape == (1,)
-        assert t[0] == pytest.approx(
-            _pg_draw_scalar(a, b, ((c1, d1), (c2, d2)), u1, u2), abs=1e-12)
 
 
 def _tv_tail_pieces(b, c1, c2, d, u1, u2):
@@ -486,8 +475,8 @@ def test_chromatic_l1_chain_is_the_table_kernel_chain():
 
 
 def _reference_tv_chain(post, n_sweeps, seed):
-    """sample_gibbs on a tv1d posterior without singleton classes, written
-    out with the general piece-table kernel and padded end kinks."""
+    """sample_gibbs on a tv1d posterior, written out with the general
+    piece-table kernel and padded end kinks."""
     layout = gibbs_layout(post)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     lam, n = post.prior.lam, post.dim
@@ -526,6 +515,15 @@ def test_chromatic_tv_chain_is_the_table_kernel_chain():
     assert min(c.size for c in _classes(post)) > 1
     chain = sample_gibbs(post, 60, seed=71)
     assert _same_bits(chain.samples, _reference_tv_chain(post, 60, 71))
+    # every pair of columns of a dense K shares a data row, so each class
+    # is one coordinate and takes _tv_draw at B = 1; 200 sweeps stay
+    # under the residual refresh at 256
+    rng = np.random.default_rng(73)
+    post = _post(rng.standard_normal((9, 6)), rng.standard_normal(9), 0.5,
+                 make_tv1d_prior(1.5))
+    assert [c.tolist() for c in _classes(post)] == [[i] for i in range(6)]
+    chain = sample_gibbs(post, 200, seed=79)
+    assert _same_bits(chain.samples, _reference_tv_chain(post, 200, 79))
 
 
 def test_chromatic_tv_ends_match_quadrature_cm():
