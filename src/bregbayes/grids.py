@@ -99,12 +99,19 @@ _CSV_HEADER = "rows,cols"
 
 def format_positional(values) -> list[str]:
     """The strings ``np.format_float_positional(v, unique=True)`` writes for
-    float64 ``values``, at about half the cost: ``repr`` less a trailing 0
-    where it is positional, numpy for repr's exponent forms (|v| < 1e-4 or
-    |v| >= 1e16)."""
-    strs = map(repr, np.asarray(values, dtype=np.float64).tolist())
-    return [np.format_float_positional(float(t), unique=True) if "e" in t
-            else t[:-1] if t.endswith(".0") else t for t in strs]
+    float64 ``values``, from one ``repr`` of the whole list: repr less the
+    trailing 0 of ".0", and numpy only for repr's exponent forms, which
+    are |v| < 1e-4 (v != 0) and 1e16 <= |v| < inf."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    if v.size == 0:
+        return []
+    text = repr(v.tolist())[1:-1] + ", "
+    strs = text.replace(".0, ", "., ").split(", ")[:-1]
+    mag = np.abs(v)
+    exponent = ((mag < 1e-4) & (mag > 0.0)) | ((mag >= 1e16) & (mag < np.inf))
+    for i in np.flatnonzero(exponent).tolist():
+        strs[i] = np.format_float_positional(v[i], unique=True)
+    return strs
 
 
 def save_signal_csv(sig: Signal, path) -> None:
@@ -145,5 +152,5 @@ def save_signal_pgm(sig: Signal, path) -> None:
     pix = np.round((img - lo) * scale).astype(int)
     rows, cols = pix.shape
     lines = ["P2", f"# rescaled from [{lo:g}, {hi:g}]", f"{cols} {rows}", "255"]
-    lines.extend(" ".join(str(v) for v in row) for row in pix)
+    lines.extend(" ".join(map(str, row)) for row in pix.tolist())
     Path(path).write_text("\n".join(lines) + "\n")

@@ -9,14 +9,17 @@ Two samplers are provided:
   coloured once per posterior so that no two coordinates of one colour
   share a data row or a prior coupling; each sweep visits the colour
   classes in turn and draws all members of a class at once, which is
-  exact Gibbs with a colour-by-colour scan order. A pixel-l1 class takes
-  the closed-form two-piece draw :func:`_l1_draw` (one kink at 0), a TV
-  class the closed-form three-piece draw :func:`_tv_draw` (two kinks, at
-  the neighbours' values); the general piece table (:func:`_pg_table` +
-  :func:`_pg_draw`) serves only Gaussian classes and
+  exact Gibbs with a colour-by-colour scan order; the colouring is first
+  fit over per-colour bitmasks of occupied data rows. A pixel-l1 class
+  takes the closed-form two-piece draw :func:`_l1_draw` (one kink at 0),
+  a TV class the closed-form three-piece draw :func:`_tv_draw` (two
+  kinks, at the neighbours' values); the general piece table
+  (:func:`_pg_table` + :func:`_pg_draw`) serves only Gaussian classes and
   :class:`PiecewiseGaussian1D`. A pixel-l1 or Gaussian class of one
   coordinate takes the same arithmetic on floats, a TV class of one
-  :func:`_tv_draw` at B = 1: every draw is bit for bit the table's.
+  :func:`_tv_draw` at B = 1. TV and Gaussian draws are bit for bit the
+  table's; l1 draws keep the table's uniform-to-quantile map and equal
+  its draws to rounding.
 * :func:`sample_rwm` -- componentwise Gaussian-proposal Metropolis on the
   pixels, for the Besov prior (whose energy it scores on the Haar
   coefficients W u), the pixel l1 prior and the Gaussian prior with
@@ -40,13 +43,11 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import or_
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri_exp
+from scipy.special import expit, log_ndtr, ndtri_exp
 
 from .grids import Grid
 from .model import Posterior
@@ -84,8 +85,11 @@ def _truncnorm_std(alpha, beta, u):
         span = -np.expm1(np.minimum(la - lb, 0.0))  # 1 - exp(la - lb)
         logp = lb + np.log1p(u * span - span)
     logp = np.minimum(logp, 0.0)
+    # where u - 1 rounds to -1 (u = 0, probability 2^-53) the draw takes
+    # the upper end b, or the centre 0 where b = +inf (the whole line)
     x = ndtri_exp(np.where(np.isfinite(logp), logp, lb))
     x = np.clip(x, a, b)
+    x = np.where(x < np.inf, x, 0.0)
     return np.where(flip, -x, x)
 
 
@@ -188,39 +192,55 @@ class PiecewiseGaussian1D:
         return np.clip(below + width * frac, 0.0, 1.0)
 
 
-_SIDES = np.array([[-1.0], [1.0]])  # slope of |t| on t <= 0 and on t >= 0
+class _L1Class(NamedTuple):
+    """Per-class constants of :func:`_l1_draw` (see :func:`_l1_class`)."""
+
+    sigma: np.ndarray  # (2, B) sigma and -sigma, sigma = 1 / sqrt(2 a)
+    lam: np.ndarray  # (2, 1) or (2, B): lam and -lam
 
 
-def _l1_draw(a, b, lam, u1, u2) -> np.ndarray:
+_SIGNS = np.array([[1.0], [-1.0]])
+
+
+def _l1_class(a, lam) -> _L1Class:
+    """Constants of one colour class for :func:`_l1_draw`, built once."""
+    return _L1Class(_SIGNS / np.sqrt(2.0 * a), _SIGNS * lam)
+
+
+def _l1_log_u(u2) -> np.ndarray:
+    """log u2 and log(1 - u2), shape (2, B): the uniforms of the pieces
+    t <= 0 and t >= 0 in :func:`_l1_draw`. The piece t >= 0 takes 1 - u2,
+    the piece table's flip. Each is log1p(u - 1), as in the table, and a
+    u with u - 1 = -1 (u2 = 0, probability 2^-53) takes log 1, the finite
+    end of its piece, where the table falls back to that end."""
+    v = np.stack([u2, 1.0 - u2]) - 1.0
+    return np.log1p(np.where(v > -1.0, v, 0.0))
+
+
+def _l1_draw(k: _L1Class, b, u1, log_u) -> np.ndarray:
     """One exact draw from exp(-(a t^2 + b t) - lam |t|) per entry.
 
-    The closed form of :func:`_pg_table` and :func:`_pg_draw` at a single
-    kink at 0: two one-sided truncated Gaussians, t <= 0 and t >= 0. It
-    keeps their arithmetic operation for operation, so the draws are
-    bit-identical, without building a piece table. ``a``, ``b``, ``u1``
-    and ``u2`` have shape (B,); ``lam`` is a scalar or has shape (B,).
+    The two one-sided truncated Gaussians t <= 0 and t >= 0 of the piece
+    table at a single kink at 0 (Lucka, Inverse Problems 28, 2012), in
+    closed form. Piece p, standardised and flipped where the table flips
+    it, is (-inf, q_p] of a standard normal, with q_0 = (b - lam) sigma and
+    q_1 = -(b + lam) sigma, and log mass q_p^2 / 2 + log_ndtr(q_p) up to a
+    constant shared by both. u1 picks the piece t >= 0 when
+    expit(m_0 - m_1) <= u1, and its inverse CDF in log space maps the
+    piece's uniform (``log_u``, see :func:`_l1_log_u`) to x <= q_p; the
+    draw is sigma (x - q_0) or sigma (q_1 - x), and +0.0 at the kink.
+    ``b`` and ``u1`` have shape (B,), ``log_u`` (2, B). The uniform-to-
+    quantile map is the table's, so the draws equal the table's to
+    rounding. Nothing here divides or takes a log, so it needs no
+    ``np.errstate``.
     """
-    two_a = 2.0 * a
-    sigma = 1.0 / np.sqrt(two_a)
-    mu = -(b + _SIDES * lam) / two_a  # (2, B) piece centres
-    # the finite end of each piece, standardised and flipped where needed
-    # so that the piece is (-inf, q] of a standard normal
-    q = _SIDES * mu / sigma
+    q = (b - k.lam) * k.sigma
     log_cdf = log_ndtr(q)
-    log_mass = a * mu * mu + log_cdf
-    w = np.exp(log_mass - np.maximum(log_mass[0], log_mass[1]))
-    pos = w[0] <= u1 * (w[0] + w[1])  # the piece t >= 0
-    lb = np.where(pos, log_cdf[1], log_cdf[0])
-    u = np.where(pos, 1.0 - u2, u2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = np.minimum(lb + np.log1p(u - 1.0), 0.0)
-    x = ndtri_exp(np.where(np.isfinite(logp), logp, lb))
-    # ties take q, then 0.0, explicitly: numpy does not document which of
-    # two equal zeros of opposite sign np.minimum returns
-    end = np.where(pos, q[1], q[0])
-    x = np.where(x < end, x, end)
-    t = np.where(pos, mu[1], mu[0]) + sigma * np.where(pos, -x, x)
-    return np.where(np.where(pos, t > 0.0, t < 0.0), t, 0.0)
+    m = 0.5 * q * q + log_cdf
+    pos = expit(m[0] - m[1]) <= u1  # the piece t >= 0
+    d = ndtri_exp(log_cdf + log_u) - q  # negative inside the piece
+    t = np.where(d < 0.0, d * k.sigma, 0.0)
+    return np.where(pos, t[1], t[0])
 
 
 class _TvClass(NamedTuple):
@@ -324,31 +344,20 @@ def _tv_draw(k: _TvClass, b, nb, u1, u2) -> np.ndarray:
     return np.minimum(np.maximum(t, t_lo), t_hi)
 
 
-def _l1_draw_scalar(a: float, b: float, lam: float, u1: float,
+def _l1_draw_scalar(sigma: float, b: float, lam: float, u1: float,
                     u2: float) -> float:
     """:func:`_l1_draw` on Python floats, for a colour class of one
-    coordinate: the same ufuncs on the same operands in the same order,
-    and the same ties, so the draw is bit for bit ``_l1_draw``'s at B = 1.
-    (A tie of the two log masses leaves the weights 1.0 whichever wins.)"""
-    two_a = 2.0 * a
-    sigma = 1.0 / math.sqrt(two_a)
-    mu0, mu1 = -(b - lam) / two_a, -(b + lam) / two_a
-    q0, q1 = -mu0 / sigma, mu1 / sigma
-    cdf0, cdf1 = float(log_ndtr(q0)), float(log_ndtr(q1))
-    m0, m1 = a * mu0 * mu0 + cdf0, a * mu1 * mu1 + cdf1
-    top = m0 if m0 > m1 else m1
-    w0, w1 = float(np.exp(m0 - top)), float(np.exp(m1 - top))
-    pos = w0 <= u1 * (w0 + w1)  # the piece t >= 0
-    lb, q, mu = (cdf1, q1, mu1) if pos else (cdf0, q0, mu0)
-    v = (1.0 - u2 if pos else u2) - 1.0
-    # log1p(-1) is -inf, and _l1_draw then takes ndtri_exp(lb)
-    logp = lb + float(np.log1p(v)) if v > -1.0 else lb
-    x = float(ndtri_exp(logp if logp < 0.0 else 0.0))
-    x = x if x < q else q
-    t = mu + sigma * (-x if pos else x)
-    if pos:
-        return t if t > 0.0 else 0.0
-    return t if t < 0.0 else 0.0
+    coordinate with sigma = 1 / sqrt(2 a), taking the chosen piece's entry
+    of :func:`_l1_log_u` itself: the same operations in the same order,
+    so the draw is bit for bit ``_l1_draw``'s at B = 1."""
+    q0, q1 = (b - lam) * sigma, (b + lam) * -sigma
+    lc0, lc1 = float(log_ndtr(q0)), float(log_ndtr(q1))
+    pos = float(expit((0.5 * q0 * q0 + lc0) - (0.5 * q1 * q1 + lc1))) <= u1
+    q, lc, v, s = ((q1, lc1, (1.0 - u2) - 1.0, -sigma) if pos  # t >= 0
+                   else (q0, lc0, u2 - 1.0, sigma))
+    log_u = float(np.log1p(v)) if v > -1.0 else 0.0
+    d = float(ndtri_exp(lc + log_u)) - q
+    return d * s if d < 0.0 else 0.0
 
 
 def _gauss_draw_scalar(a: float, b: float, u2: float) -> float:
@@ -358,8 +367,8 @@ def _gauss_draw_scalar(a: float, b: float, u2: float) -> float:
     bit for bit the table's draw."""
     two_a = 2.0 * a
     v = u2 - 1.0
-    # log1p(-1) is -inf, and the table then takes ndtri_exp(0)
-    x = float(ndtri_exp(float(np.log1p(v)) if v > -1.0 else 0.0))
+    # log1p(-1) is -inf, and the table then takes the centre (x = 0)
+    x = float(ndtri_exp(float(np.log1p(v)))) if v > -1.0 else 0.0
     return -(b + 0.0) / two_a + 1.0 / math.sqrt(two_a) * x
 
 
@@ -485,26 +494,47 @@ class GibbsLayout:
     colnorm: np.ndarray = field(repr=False)  # (n,) ||K e_i||_P^2
 
 
+# Columns per chunk when packing row masks: bounds the dense boolean chunk
+# that _row_masks builds at _MASK_COLUMNS x (rows of K) bytes.
+_MASK_COLUMNS = 256
+
+
+def _row_masks(csc):
+    """Each column's data rows as a Python int, bit r set for row r."""
+    ptr, rows = csc.indptr, csc.indices
+    n_rows, n = csc.shape
+    width = -(-n_rows // 8)
+    for c0 in range(0, n, _MASK_COLUMNS):
+        c1 = min(c0 + _MASK_COLUMNS, n)
+        dense = np.zeros((c1 - c0, 8 * width), dtype=bool)
+        dense[np.repeat(np.arange(c1 - c0), np.diff(ptr[c0:c1 + 1])),
+              rows[ptr[c0]:ptr[c1]]] = True
+        packed = np.packbits(dense, axis=1, bitorder="little").tobytes()
+        for j in range(0, len(packed), width):
+            yield int.from_bytes(packed[j:j + width], "little")
+
+
 def _greedy_colouring(csc, neighbours) -> np.ndarray:
     """Smallest free colour per coordinate, coordinates taken in index order.
 
     Two coordinates conflict when their columns share a data row, or when
     ``neighbours(i)`` lists the earlier one (a coupling through the prior).
-    ``used[r]`` is the bitmask of colours whose columns touch data row r.
+    First fit over ``occupied[k]``, the bitmask of data rows that the
+    columns of colour k touch: coordinate i takes the first colour whose
+    mask misses its column's rows and that no neighbour holds.
     """
-    used = [0] * csc.shape[0]
-    ptr = csc.indptr.tolist()
+    occupied: list[int] = []
     colour: list[int] = []
-    for i in range(csc.shape[1]):
-        rows = csc.indices[ptr[i]:ptr[i + 1]].tolist()
-        taken = reduce(or_, map(used.__getitem__, rows), 0)
-        for j in neighbours(i):
-            taken |= 1 << colour[j]
-        k = (~taken & (taken + 1)).bit_length() - 1
+    for i, mask in enumerate(_row_masks(csc)):
+        banned = {colour[j] for j in neighbours(i)}
+        for k, taken in enumerate(occupied):
+            if not taken & mask and k not in banned:
+                occupied[k] = taken | mask
+                break
+        else:
+            k = len(occupied)
+            occupied.append(mask)
         colour.append(k)
-        bit = 1 << k
-        for r in rows:
-            used[r] |= bit
     return np.array(colour, dtype=np.intp)
 
 
@@ -593,15 +623,19 @@ def sample_gibbs(post: Posterior, n_samples: int, burn_in: int = 0,
     blocks = []
     for k0, k1 in zip(layout.bounds[:-1], layout.bounds[1:]):
         if k1 - k0 == 1 and kind != "tv1d":
-            # a class of one coordinate: the closed form on floats
+            # a class of one coordinate: the closed form on floats, which
+            # for l1 takes sigma = 1 / sqrt(2 a) as _l1_class computes it
+            a = float(a_all[k0])
             blocks.append((True, int(order[k0]), k0, layout.rows[k0],
                            layout.vals[k0], layout.pvals[k0],
-                           float(layout.colnorm[k0]), float(a_all[k0]), None))
+                           float(layout.colnorm[k0]),
+                           1.0 / math.sqrt(2.0 * a) if kind == "l1" else a,
+                           None))
             continue
         members = order[k0:k1]
         size = k1 - k0
         if kind == "l1":
-            kinks = None  # the closed-form two-piece draw needs no table
+            kinks = _l1_class(a_all[k0:k1], lam)
         elif kind == "tv1d":
             # a coordinate at an end has one neighbour; its other kink is a
             # weight-0 pad at the same location
@@ -616,6 +650,7 @@ def sample_gibbs(post: Posterior, n_samples: int, burn_in: int = 0,
         blocks.append((False, members, slice(k0, k1), layout.rows[k0:k1],
                        layout.vals[k0:k1], layout.pvals[k0:k1],
                        layout.colnorm[k0:k1], a_all[k0:k1], kinks))
+    batched_l1 = kind == "l1" and not all(block[0] for block in blocks)
     total_sweeps = burn_in + n_samples * thinning
     out = np.empty((n_samples, n))
     for sweep in range(total_sweeps):
@@ -623,6 +658,8 @@ def sample_gibbs(post: Posterior, n_samples: int, burn_in: int = 0,
         # reads a slice; coordinate i still takes row i of the drawn block
         uu = rng.random((n, 2))[order]
         u1_all, u2_all = uu[:, 0], uu[:, 1]
+        if batched_l1:  # the log uniforms of every l1 class at once
+            log_u = _l1_log_u(u2_all)
         for scalar, members, scan, idx, vals, pv, cn, a, kinks in blocks:
             if scalar:
                 i = members
@@ -651,7 +688,7 @@ def sample_gibbs(post: Posterior, n_samples: int, burn_in: int = 0,
                 b += 2.0 * lc * (l_cols.T @ lw - ui * lnorm[members])
             u1, u2 = u1_all[scan], u2_all[scan]
             if kind == "l1":
-                t = _l1_draw(a, b, lam, u1, u2)
+                t = _l1_draw(kinks, b, u1, log_u[:, scan])
             elif kind == "tv1d":
                 tv, neighbours = kinks
                 t = _tv_draw(tv, b, u[neighbours], u1, u2)

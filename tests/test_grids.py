@@ -59,9 +59,11 @@ def test_format_positional_writes_numpys_bytes():
         [0.0, -0.0, 5e-324, 1e16, 1e22, 2.5e-5, 1e-5, 1e-4, 1e15, 0.1, 10.0,
          1.2345678901234567e16, 2.2250738585072014e-308,
          1.7976931348623157e308, -1.7976931348623157e308,
-         np.inf, -np.inf, np.nan]])
+         np.inf, -np.inf, np.nan, np.nextafter(1e-4, 0.0),
+         np.nextafter(1e16, 0.0), -1e-4, 100.0]])
     assert format_positional(values) == [
         np.format_float_positional(v, unique=True) for v in values]
+    assert format_positional([]) == []
 
 
 def test_csv_rejects_garbage(tmp_path):
@@ -81,3 +83,13 @@ def test_pgm_output(tmp_path):
     assert text[3] == "255"
     pix = [int(v) for row in text[4:] for v in row.split()]
     assert min(pix) == 0 and max(pix) == 255
+
+
+def test_pgm_bytes(tmp_path):
+    s = Signal(grid2d(3, 4), [0.0, 1.0, 0.5, 0.25, -0.3, 0.7, 0.1, 2.0 / 3.0,
+                              0.999, -0.25, 0.3, 0.55])
+    path = tmp_path / "img.pgm"
+    save_signal_pgm(s, path)
+    assert path.read_bytes() == (b"P2\n# rescaled from [-0.3, 1]\n4 3\n255\n"
+                                 b"59 255 157 108\n0 196 78 190\n"
+                                 b"255 10 118 167\n")

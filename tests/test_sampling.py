@@ -14,8 +14,9 @@ from bregbayes.priors import (make_besov_prior, make_gaussian_prior,
                               make_l1_prior, make_tv1d_prior)
 from bregbayes import sampling
 from bregbayes.sampling import (Chain, PiecewiseGaussian1D,
-                                _gauss_draw_scalar, _l1_draw,
-                                _l1_draw_scalar, _pg_draw, _pg_table,
+                                _gauss_draw_scalar, _l1_class, _l1_draw,
+                                _l1_draw_scalar, _l1_log_u, _pg_draw,
+                                _pg_table,
                                 _tv_class, _tv_draw,
                                 batch_means_stderr,
                                 gibbs_layout, load_chain, rwm_layout,
@@ -116,7 +117,26 @@ def _table_l1_draw(a, b, lam, u1, u2):
                     u1, u2)
 
 
-def test_l1_draw_is_the_table_kernel_bitwise():
+def _l1(a, b, lam, u1, u2):
+    """_l1_draw with its per-class constants and log uniforms built here."""
+    return _l1_draw(_l1_class(a, lam), b, u1, _l1_log_u(u2))
+
+
+def _assert_table_l1_to_rounding(a, b, lam, u1, u2):
+    """_l1_draw is finite, on the table kernel's side of 0 and within 32
+    ulp of the draw's scale max |mu| + sigma = (|b| + lam) / (2a) + sigma
+    of the table's draw: the uniform-to-quantile map is the table's, and
+    only the rounding of the arithmetic around it differs."""
+    t = _l1(a, b, lam, u1, u2)
+    table = _table_l1_draw(a, b, lam, u1, u2)
+    assert np.all(np.isfinite(t))
+    assert np.all(np.sign(t) * np.sign(table) >= 0.0)
+    scale = (np.abs(b) + lam) / (2.0 * a) + 1.0 / np.sqrt(2.0 * a)
+    assert np.all(np.abs(t - table) <= 32.0 * np.spacing(scale))
+    return t
+
+
+def test_l1_draw_is_the_table_kernel_to_rounding():
     rng = np.random.default_rng(41)
     for batch in range(2400):
         size = int(rng.integers(1, 81))
@@ -130,8 +150,7 @@ def test_l1_draw_is_the_table_kernel_bitwise():
         # the ends of the inverse CDF, where the tail clip acts
         u2[::5] = 1.0 - 2.0**-53
         u2[1::7] = 0.0
-        assert np.array_equal(_l1_draw(a, b, lam, u1, u2),
-                              _table_l1_draw(a, b, lam, u1, u2))
+        _assert_table_l1_to_rounding(a, b, lam, u1, u2)
 
 
 def _scalar_draw_cases(rng, count):
@@ -155,10 +174,11 @@ def _scalar_draw_cases(rng, count):
 def test_l1_draw_scalar_is_l1_draw_bitwise():
     for a, b, lam, u1, u2 in _scalar_draw_cases(np.random.default_rng(43),
                                                 4000):
-        t = _l1_draw_scalar(a, b, lam, u1, u2)
+        k = _l1_class(np.array([a]), lam)
+        t = _l1_draw_scalar(float(k.sigma[0, 0]), b, lam, u1, u2)
         assert type(t) is float
-        batched = _l1_draw(np.array([a]), np.array([b]), lam, np.array([u1]),
-                           np.array([u2]))
+        batched = _l1_draw(k, np.array([b]), np.array([u1]),
+                           _l1_log_u(np.array([u2])))
         assert _same_bits(np.array([t]), batched), (a, b, lam, u1, u2)
 
 
@@ -174,6 +194,46 @@ def test_gauss_draw_scalar_is_the_table_at_no_kink_bitwise():
         assert _same_bits(np.array([t]), table), (a, b, u2)
 
 
+def _u2_zero_draws(kernel, rng, size=200):
+    """Draws of ``kernel`` at u2 = 0 over wide a, b, lam and u1."""
+    a = np.exp(rng.uniform(-6.0, 10.0, size))
+    b = rng.choice([-1.0, 1.0], size) * np.exp(rng.uniform(-6.0, 12.0, size))
+    lam = np.exp(rng.uniform(-3.0, 6.0, size))
+    u1, u2 = rng.random(size), np.zeros(size)
+    u1[::7] = 0.0
+    if kernel == "table":  # a Gaussian class: one piece, the whole line
+        no_kink = np.zeros((size, 0))
+        t = _pg_draw(_pg_table(a, b, no_kink, no_kink), np.arange(size),
+                     u1, u2)
+        assert _same_bits(t, -(b + 0.0) / (2.0 * a))  # the centre
+    elif kernel == "gauss_scalar":
+        t = np.array([_gauss_draw_scalar(*x) for x in zip(a, b, u2)])
+        no_kink = np.zeros((size, 0))
+        assert _same_bits(t, _pg_draw(_pg_table(a, b, no_kink, no_kink),
+                                      np.arange(size), u1, u2))
+    elif kernel == "l1":
+        t = _assert_table_l1_to_rounding(a, b, lam, u1, u2)
+    elif kernel == "l1_scalar":
+        sigma = 1.0 / np.sqrt(2.0 * a)
+        t = np.array([_l1_draw_scalar(*x) for x in zip(sigma, b, lam, u1, u2)])
+        assert _same_bits(t, _l1(a, b, lam, u1, u2))
+    else:
+        d = np.sort(rng.choice([-1.0, 1.0], (2, size))
+                    * np.exp(rng.uniform(-8.0, 4.0, (2, size))), axis=0)
+        t = _tv_draw(_tv_class(a, lam, lam), b, d, u1, u2)
+        assert _same_bits(t, _table_tv_draw(a, b, lam, lam, d, u1, u2))
+    return t
+
+
+@pytest.mark.parametrize("kernel", ["table", "gauss_scalar", "l1",
+                                    "l1_scalar", "tv"])
+def test_draw_at_u2_zero_is_finite(kernel):
+    # rng.random returns exactly 0 with probability 2^-53; a piece then
+    # takes its finite end, or its centre if it has none
+    t = _u2_zero_draws(kernel, np.random.default_rng(83))
+    assert np.all(np.isfinite(t))
+
+
 def test_l1_draw_deep_tails():
     u1 = np.array([0.0, 1e-300, 0.3, 0.5, 0.9, 1.0 - 2.0**-53])
     u2 = np.array([0.0, 1e-300, 0.2, 0.5, 0.97, 1.0 - 2.0**-53])
@@ -183,16 +243,12 @@ def test_l1_draw_deep_tails():
     # the Gaussian centre 5e4 from the kink: the other piece's mass,
     # relative to this one, underflows to 0, so every draw lands here
     for b, side in ((1e5, -1.0), (-1e5, 1.0)):
-        t = _l1_draw(ones, b * ones, 10.0, u1, u2)
-        assert np.all(np.isfinite(t))
+        t = _assert_table_l1_to_rounding(ones, b * ones, 10.0, u1, u2)
         assert np.all(side * t >= 0.0)
-        assert np.array_equal(t, _table_l1_draw(ones, b * ones, 10.0, u1, u2))
     # both pieces 70 standard deviations into their tails: the draws sit
     # next to 0, each on the side of the piece that u1 selects
     a, b, lam = ones, 0.5 * ones, 100.0
-    t = _l1_draw(a, b, lam, u1, u2)
-    assert np.all(np.isfinite(t))
-    assert np.array_equal(t, _table_l1_draw(a, b, lam, u1, u2))
+    t = _assert_table_l1_to_rounding(a, b, lam, u1, u2)
     table = _pg_table(a, b, np.full((size, 1), lam), np.zeros((size, 1)))
     w = np.exp(table.log_mass - table.log_mass.max(axis=1, keepdims=True))
     positive = w[:, 0] <= u1 * w.sum(axis=1)
@@ -414,6 +470,55 @@ def test_colour_classes_of_dense_gaussian_are_singletons():
     assert [c.tolist() for c in classes] == [[i] for i in range(n)]
 
 
+def _reference_colouring(csc, neighbours):
+    """Greedy colouring through per-row colour bitmasks: ``used[r]`` holds
+    the colours whose columns touch data row r, and coordinate i takes the
+    lowest colour absent from its rows' masks and its neighbours."""
+    used = [0] * csc.shape[0]
+    colour = []
+    for i in range(csc.shape[1]):
+        rows = csc.indices[csc.indptr[i]:csc.indptr[i + 1]].tolist()
+        taken = 0
+        for r in rows:
+            taken |= used[r]
+        for j in neighbours(i):
+            taken |= 1 << colour[j]
+        k = (~taken & (taken + 1)).bit_length() - 1
+        colour.append(k)
+        for r in rows:
+            used[r] |= 1 << k
+    return np.array(colour)
+
+
+def _colouring_cases():
+    rng = np.random.default_rng(89)
+    no_ban = lambda i: ()
+    for side, width in ((64, 0.015), (12, 0.04)):
+        yield (sparse_columns(gaussian_blur(grid2d(side), width)), no_ban)
+    yield (sparse_columns(interval_average_1d(grid1d(255), 30)),
+           lambda i: (i - 1,) if i > 0 else ())
+    l_mat = rng.standard_normal((12, 12)) * (rng.random((12, 12)) < 0.3)
+    coupled = (l_mat.T @ l_mat) != 0.0
+    yield (sparse_columns(from_matrix(np.eye(12))),
+           lambda i: np.flatnonzero(coupled[i, :i]).tolist())
+    # columns in three chunks of row masks, the last one short; some empty
+    n = 2 * sampling._MASK_COLUMNS + 88
+    k = rng.standard_normal((300, n)) * (rng.random((300, n)) < 0.02)
+    yield (csc_matrix(k), no_ban)
+    # every pair of columns shares a row: 90 colours
+    yield (csc_matrix(rng.standard_normal((70, 90))), no_ban)
+
+
+def test_colouring_is_the_row_bitmask_colouring():
+    counts = []
+    for csc, neighbours in _colouring_cases():
+        colour = sampling._greedy_colouring(csc, neighbours)
+        np.testing.assert_array_equal(colour,
+                                      _reference_colouring(csc, neighbours))
+        counts.append(colour.max() + 1)
+    assert counts[0] == 81 and counts[-1] == 90
+
+
 def test_chromatic_l1_blocks_match_quadrature_cm():
     # two independent 2-pixel blocks: classes {0, 2} and {1, 3}
     blk = np.array([[1.0, 0.6], [0.4, 1.0]])
@@ -471,7 +576,9 @@ def test_chromatic_l1_chain_is_the_table_kernel_chain():
     sizes = [c.size for c in _classes(post)]
     assert min(sizes) > 1 and max(sizes) < grid.size
     chain = sample_gibbs(post, 60, seed=53)
-    assert np.array_equal(chain.samples, _reference_l1_chain(post, 60, 53))
+    # _l1_draw equals the table to rounding, and so do the chains
+    np.testing.assert_allclose(chain.samples, _reference_l1_chain(post, 60, 53),
+                               rtol=0, atol=1e-12)
 
 
 def _reference_tv_chain(post, n_sweeps, seed):
